@@ -8,7 +8,9 @@ Kinds:
                its raw structure is exposed for negative tests.
 
 Generators are deterministic in (lattice, seed) and emit exact rationals with
-bounded denominators so the exhaustive validators stay cheap.
+bounded denominators.  Every generated conditional state is validated; C3 is
+checked on orthogonal pairs of conditions, in O(|cs|²·|L|) time, so lattices
+well beyond the eight-element ones (mo(12), boolean(6)) are in reach.
 """
 
 from __future__ import annotations

@@ -31,10 +31,16 @@ _FIELDS = {
 }
 
 
+def _json_int(text: str) -> int:
+    return int(parse_rational(text))  # bounds the digit count first
+
+
 def load_document(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_float=Fraction)
+            doc = json.load(fh, parse_float=parse_rational, parse_int=_json_int)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

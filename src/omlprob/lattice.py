@@ -113,21 +113,12 @@ class OrthomodularLattice:
         return self.leq(a, self._ortho[b])
 
     def is_compatible(self, a: int, b: int) -> bool:
-        """a ↔ b iff a = (a∧b) ∨ (a∧b⊥), with the witness triple re-checked.
+        """a ↔ b iff a = (a∧b) ∨ (a∧b⊥).
 
-        When the test holds, (a∧b⊥, b∧a⊥, a∧b) is the mutually orthogonal
-        decomposition a = a₁∨c, b = b₁∨c; this is asserted as a guard on
-        the equivalence used.
+        In an OML this is equivalent to the existence of mutually orthogonal
+        a₁, b₁, c with a = a₁∨c and b = b₁∨c (take a∧b⊥, b∧a⊥, a∧b).
         """
-        c = self.meet(a, b)
-        a1 = self.meet(a, self._ortho[b])
-        if self.join(c, a1) != a:
-            return False
-        b1 = self.meet(b, self._ortho[a])
-        assert self.is_orthogonal(a1, b1)
-        assert self.is_orthogonal(a1, c) and self.is_orthogonal(b1, c)
-        assert self.join(b1, c) == b
-        return True
+        return self.join(self.meet(a, b), self.meet(a, self._ortho[b])) == a
 
     def boolean_subalgebra(self, d: int) -> BooleanSubalgebra:
         """The Boolean subalgebra {0, d, d⊥, 1} generated by a single element."""

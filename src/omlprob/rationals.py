@@ -3,11 +3,31 @@
 All probabilities in this package are ``fractions.Fraction`` values; nothing
 is ever stored as a float.  Decimal literals in input files are read exactly
 as fractions over powers of ten ("0.4" -> 2/5).
+
+A literal is refused before any ``Fraction`` is built if it has more than
+``MAX_DIGITS`` digits or an exponent beyond ±``MAX_EXPONENT``: the ten bytes
+"1e3000000" would otherwise become a three-million-digit integer.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
+
+MAX_DIGITS = 1000
+MAX_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
+
+def _check_literal_size(text: str) -> None:
+    """Raise ParseError if the numeric literal ``text`` exceeds the bounds."""
+    if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
+        raise ParseError(f"numeric literal has more than {MAX_DIGITS} digits")
+    if "e" in text or "E" in text:
+        m = _EXPONENT.search(text)
+        if m and abs(int(m.group(1).replace("_", ""))) > MAX_EXPONENT:
+            raise ParseError(f"numeric literal has an exponent beyond ±{MAX_EXPONENT}")
 
 
 def parse_rational(value) -> Fraction:
@@ -19,6 +39,7 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        _check_literal_size(value)
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -101,7 +101,8 @@ def complete_smap_table(L: OrthomodularLattice, partial: Mapping[tuple[int, int]
     """Fill the rows/columns for 0 and 1 that s1–s3 force, where missing.
 
     p(x,0) = p(0,x) = 0 and p(x,1) = p(1,x) = p(x,x); everything else must be
-    supplied.  Returns a full (a, b) -> Fraction mapping.
+    supplied, and a missing diagonal entry p(x,x) raises S1Violation.
+    Returns a full (a, b) -> Fraction mapping.
     """
     table = dict(partial)
     diag = {}
@@ -110,8 +111,13 @@ def complete_smap_table(L: OrthomodularLattice, partial: Mapping[tuple[int, int]
             diag[x] = ZERO
         elif x == L.one:
             diag[x] = ONE
-        else:
+        elif (x, x) in table:
             diag[x] = Fraction(table[(x, x)])
+        else:
+            raise S1Violation(
+                f"table missing entry p({L.label(x)}, {L.label(x)})",
+                witness=(L.label(x), L.label(x)),
+            )
     for x in L.elements:
         table.setdefault((x, L.zero), ZERO)
         table.setdefault((L.zero, x), ZERO)

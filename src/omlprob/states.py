@@ -71,17 +71,6 @@ def validate_state(L: OrthomodularLattice, values) -> State:
     return State(L, vals)
 
 
-def orthogonal_families(L: OrthomodularLattice, members: frozenset[int]):
-    """All subsets of members of size ≥ 2 that are mutually orthogonal and
-    whose join lies in members (the families quantified over by C3)."""
-    elems = sorted(members)
-    for size in range(2, len(elems) + 1):
-        for fam in combinations(elems, size):
-            if all(L.is_orthogonal(a, b) for a, b in combinations(fam, 2)):
-                if L.join_all(fam) in members:
-                    yield fam
-
-
 @dataclass(frozen=True)
 class ConditionalState:
     """A two-place map f(b, a): probability of b given condition a.
@@ -110,7 +99,23 @@ class ConditionalState:
 def validate_conditional_state(
     L: OrthomodularLattice, cs: frozenset[int], table: Mapping[tuple[int, int], Fraction]
 ) -> ConditionalState:
-    """Verify C1–C3 exhaustively over the finite lattice and return the state."""
+    """Verify C1–C3 exhaustively over the finite lattice and return the state.
+
+    C3 is checked on orthogonal pairs {a₁, a₂} ⊆ cs only, in O(|cs|²·|L|)
+    time; the law for every larger orthogonal family follows.  cs is
+    join-closed (``check_conditional_system``) and C1, C2 hold by then.  Take
+    a family a₁…a_k in cs and let s = a₁∨…∨a_{k−1}; then s ∈ cs and s ⊥ a_k.
+    For i < k, aᵢ ≤ a_k⊥ and f(a_k⊥, a_k) = 1 − f(a_k, a_k) = 0, so
+    f(aᵢ, a_k) = 0.  Pair-C3 at (s, a_k) with b := aᵢ then gives
+    f(aᵢ, ⋁a) = f(s, ⋁a)·f(aᵢ, s), and with any b gives
+    f(b, ⋁a) = f(s, ⋁a)·f(b, s) + f(a_k, ⋁a)·f(b, a_k).  Expanding f(b, s)
+    by the law for the (k−1)-family (induction on k) yields
+    f(b, ⋁a) = Σᵢ f(aᵢ, ⋁a)·f(b, aᵢ).
+
+    Pairs are visited in ``combinations(sorted(cs), 2)`` order with b
+    innermost, so the first failure reported is the first one an exhaustive
+    walk over families of increasing size would meet.
+    """
     L.check_conditional_system(cs)
     tab = {}
     for a in cs:
@@ -134,15 +139,19 @@ def validate_conditional_state(
                 f"f({L.label(a)}, {L.label(a)}) = {tab[(a, a)]} ≠ 1",
                 witness=(L.label(a),),
             )
-    for fam in orthogonal_families(L, cs):
-        top = L.join_all(fam)
+    for a1, a2 in combinations(sorted(cs), 2):
+        if not L.is_orthogonal(a1, a2):
+            continue
+        top = L.join(a1, a2)
+        w1, w2 = tab[(a1, top)], tab[(a2, top)]
         for b in L.elements:
-            mix = sum(tab[(a, top)] * tab[(b, a)] for a in fam)
+            mix = w1 * tab[(b, a1)] + w2 * tab[(b, a2)]
             if tab[(b, top)] != mix:
+                fam = (L.label(a1), L.label(a2))
                 raise C3Violation(
                     f"f({L.label(b)}, {L.label(top)}) = {tab[(b, top)]} but the "
-                    f"mixture over {tuple(L.label(a) for a in fam)} gives {mix}",
-                    witness=(L.label(b), tuple(L.label(a) for a in fam)),
+                    f"mixture over {fam} gives {mix}",
+                    witness=(L.label(b), fam),
                 )
     return ConditionalState(L, cs, tab)
 

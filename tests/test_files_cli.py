@@ -95,6 +95,33 @@ class TestValidateCommand:
         code = main(["validate", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("literal", ["1e3000000", "9" * 5000])
+    def test_huge_json_literal_exits_2(self, capsys, tmp_path, literal):
+        path = tmp_path / "huge.json"
+        path.write_text(f"[{literal}]")
+        with pytest.raises(ParseError, match="numeric literal"):
+            files.load_document(str(path))
+        assert main(["validate", str(path)]) == 2
+
+    def test_huge_string_literal_exits_2(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_smap.json").read_text())
+        doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
+        doc["table"]["a"]["b"] = "1e3000000"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert "numeric literal" in capsys.readouterr().err
+
+    def test_missing_diagonal_fails_s1(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_smap.json").read_text())
+        doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
+        del doc["table"]["a"]["a"]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "FAIL p.json:s1  (table missing entry p(a, a))" in out
+
     def test_corrupted_conditional_state(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_f.json").read_text())
         doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
