@@ -33,7 +33,6 @@ from .observables import (
     make_observable,
 )
 from .catalog import (
-    CatalogSpec,
     build_catalog,
     random_conditional_state,
     random_smap,
@@ -43,7 +42,6 @@ from .catalog import (
 
 __all__ = [
     "BooleanSubalgebra",
-    "CatalogSpec",
     "ConditionalState",
     "JointDistribution",
     "Observable",

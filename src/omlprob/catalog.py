@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -29,13 +28,6 @@ from .states import ConditionalState, State, validate_conditional_state, validat
 DENOM_BOUND = 1000
 
 KINDS = ("boolean", "mo", "o6", "chain2")
-
-
-@dataclass(frozen=True)
-class CatalogSpec:
-    kind: str
-    n: int = 1
-    seed: int | None = None
 
 
 def _atom_name(i: int) -> str:
@@ -102,15 +94,11 @@ def raw_structure(kind: str, n: int = 1) -> dict:
     raise LatticeInputError(f"unknown catalog kind {kind!r} (expected one of {KINDS})")
 
 
-def build_catalog(spec: CatalogSpec | str, n: int = 1) -> OrthomodularLattice:
+def build_catalog(kind: str, n: int = 1) -> OrthomodularLattice:
     """Build and validate a catalog lattice.
 
     o6 raises NotOrthomodular by design; use raw_structure for its data.
     """
-    if isinstance(spec, CatalogSpec):
-        kind, n = spec.kind, spec.n
-    else:
-        kind = spec
     raw = raw_structure(kind, n)
     return build_lattice(raw["labels"], raw["leq"], raw["ortho"])
 

@@ -86,10 +86,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _witness_text(exc: OmlError) -> str:
-    return str(exc)
-
-
 def _staged_checks(report: Report, prefix: str, stages, loader):
     """Run a loader whose exceptions map onto an ordered list of checks.
 
@@ -109,7 +105,7 @@ def _staged_checks(report: Report, prefix: str, stages, loader):
             if i < failed:
                 report.check(f"{prefix}:{name}", True)
             elif i == failed:
-                report.check(f"{prefix}:{name}", False, _witness_text(exc))
+                report.check(f"{prefix}:{name}", False, str(exc))
             else:
                 report.check(f"{prefix}:{name}", None)
         return None

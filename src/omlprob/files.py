@@ -45,6 +45,8 @@ def load_document(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level value must be an object")
     doc["__path__"] = path

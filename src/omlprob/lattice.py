@@ -3,7 +3,10 @@
 An element is just an integer id into the lattice's label table.  The order
 is kept as per-element bitmasks (``up[i]`` holds the ids above i), which makes
 meets, joins and the exhaustive axiom checks cheap for the desk-scale
-lattices this package handles.
+lattices this package handles.  Orthogonality is kept the same way
+(``perp[b]`` holds the ids below b⊥), and ``orthogonal_pairs`` lists every
+pair a < b with a ⊥ b together with a∨b, once, for the validators' additivity
+and mixing laws.
 
 A lattice is validated completely at construction time: bounded poset,
 existence and uniqueness of all meets/joins, the ortholattice axioms and the
@@ -13,7 +16,7 @@ is immutable, so concurrent reads are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -53,10 +56,11 @@ class BooleanSubalgebra:
 class OrthomodularLattice:
     """A finite bounded lattice with a validated orthocomplementation."""
 
-    def __init__(self, labels, up, down, ortho, zero, one, meet_table, join_table):
+    def __init__(self, labels, up, perp, pairs, ortho, zero, one, meet_table, join_table):
         self.labels: tuple[str, ...] = labels
         self._up = up
-        self._down = down
+        self._perp = perp
+        self._pairs = pairs
         self._ortho = ortho
         self.zero: int = zero
         self.one: int = one
@@ -72,6 +76,11 @@ class OrthomodularLattice:
     @property
     def elements(self) -> range:
         return range(len(self.labels))
+
+    @property
+    def orthogonal_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(a, b, a∨b) for every a < b with a ⊥ b, in lexicographic order."""
+        return self._pairs
 
     def label(self, a: int) -> str:
         return self.labels[a]
@@ -94,12 +103,6 @@ class OrthomodularLattice:
     def ortho(self, a: int) -> int:
         return self._ortho[a]
 
-    def meet_all(self, elems: Iterable[int]) -> int:
-        out = self.one
-        for a in elems:
-            out = self._meet[out][a]
-        return out
-
     def join_all(self, elems: Iterable[int]) -> int:
         out = self.zero
         for a in elems:
@@ -110,7 +113,7 @@ class OrthomodularLattice:
 
     def is_orthogonal(self, a: int, b: int) -> bool:
         """a ⊥ b iff a ≤ b⊥."""
-        return self.leq(a, self._ortho[b])
+        return bool(self._perp[b] >> a & 1)
 
     def is_compatible(self, a: int, b: int) -> bool:
         """a ↔ b iff a = (a∧b) ∨ (a∧b⊥).
@@ -328,10 +331,15 @@ def build_lattice(
                     witness=(labels[a], labels[b]),
                 )
 
+    perp = tuple(down[o] for o in ortho)
+    pairs = tuple(
+        (a, b, join_table[a][b]) for a in range(n) for b in _bits(perp[a]) if a < b
+    )
     return OrthomodularLattice(
         labels,
         tuple(up),
-        tuple(down),
+        perp,
+        pairs,
         tuple(ortho),
         zero,
         one,

@@ -56,7 +56,8 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
                 tuple(Fraction(table[(a, b)]) for b in L.elements) for a in L.elements
             )
         except KeyError as exc:
-            raise S1Violation(f"table missing entry {exc.args[0]}") from exc
+            a, b = (L.label(x) for x in exc.args[0])
+            raise S1Violation(f"table missing entry p({a}, {b})", witness=(a, b)) from exc
     else:
         rows = tuple(tuple(Fraction(v) for v in row) for row in table)
         if len(rows) != n or any(len(r) != n for r in rows):
@@ -77,23 +78,20 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
                     f"p({L.label(a)}, {L.label(b)}) ≠ 0 on an orthogonal pair",
                     witness=(L.label(a), L.label(b)),
                 )
-    for a in L.elements:
-        for b in L.elements:
-            if a < b and L.is_orthogonal(a, b):
-                j = L.join(a, b)
-                for c in L.elements:
-                    if rows[j][c] != rows[a][c] + rows[b][c]:
-                        raise S3Violation(
-                            f"p({L.label(j)}, {L.label(c)}) ≠ "
-                            f"p({L.label(a)}, {L.label(c)}) + p({L.label(b)}, {L.label(c)})",
-                            witness=(L.label(c), (L.label(a), L.label(b)), "first"),
-                        )
-                    if rows[c][j] != rows[c][a] + rows[c][b]:
-                        raise S3Violation(
-                            f"p({L.label(c)}, {L.label(j)}) ≠ "
-                            f"p({L.label(c)}, {L.label(a)}) + p({L.label(c)}, {L.label(b)})",
-                            witness=(L.label(c), (L.label(a), L.label(b)), "second"),
-                        )
+    for a, b, j in L.orthogonal_pairs:
+        for c in L.elements:
+            if rows[j][c] != rows[a][c] + rows[b][c]:
+                raise S3Violation(
+                    f"p({L.label(j)}, {L.label(c)}) ≠ "
+                    f"p({L.label(a)}, {L.label(c)}) + p({L.label(b)}, {L.label(c)})",
+                    witness=(L.label(c), (L.label(a), L.label(b)), "first"),
+                )
+            if rows[c][j] != rows[c][a] + rows[c][b]:
+                raise S3Violation(
+                    f"p({L.label(c)}, {L.label(j)}) ≠ "
+                    f"p({L.label(c)}, {L.label(a)}) + p({L.label(c)}, {L.label(b)})",
+                    witness=(L.label(c), (L.label(a), L.label(b)), "second"),
+                )
     return SMap(L, rows)
 
 
@@ -135,15 +133,14 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
     """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b)."""
     L = p.lattice
     cs = p.support
+    tab = {(a, b): p(a, b) / p(b, b) for b in cs for a in L.elements}
     try:
-        L.check_conditional_system(cs)
+        return validate_conditional_state(L, cs, tab)
     except NotAConditionalSystem as exc:
         raise SupportNotConditionalSystem(
             f"support of the s-map is not a conditional system: {exc}",
             witness=exc.witness,
         ) from exc
-    tab = {(a, b): p(a, b) / p(b, b) for b in cs for a in L.elements}
-    return validate_conditional_state(L, cs, tab)
 
 
 def conditional_to_smap(f: ConditionalState) -> SMap:

@@ -59,15 +59,13 @@ def validate_state(L: OrthomodularLattice, values) -> State:
         raise NotNormalized(f"m(0) = {vals[L.zero]} ≠ 0", witness=(L.label(L.zero),))
     if vals[L.one] != 1:
         raise NotNormalized(f"m(1) = {vals[L.one]} ≠ 1", witness=(L.label(L.one),))
-    for a in L.elements:
-        for b in L.elements:
-            if a < b and L.is_orthogonal(a, b):
-                if vals[L.join(a, b)] != vals[a] + vals[b]:
-                    raise NotAdditive(
-                        f"m({L.label(a)} ∨ {L.label(b)}) ≠ "
-                        f"m({L.label(a)}) + m({L.label(b)})",
-                        witness=(L.label(a), L.label(b)),
-                    )
+    for a, b, j in L.orthogonal_pairs:
+        if vals[j] != vals[a] + vals[b]:
+            raise NotAdditive(
+                f"m({L.label(a)} ∨ {L.label(b)}) ≠ "
+                f"m({L.label(a)}) + m({L.label(b)})",
+                witness=(L.label(a), L.label(b)),
+            )
     return State(L, vals)
 
 
@@ -112,9 +110,10 @@ def validate_conditional_state(
     by the law for the (k−1)-family (induction on k) yields
     f(b, ⋁a) = Σᵢ f(aᵢ, ⋁a)·f(b, aᵢ).
 
-    Pairs are visited in ``combinations(sorted(cs), 2)`` order with b
-    innermost, so the first failure reported is the first one an exhaustive
-    walk over families of increasing size would meet.
+    Pairs are taken from ``L.orthogonal_pairs`` in its lexicographic order,
+    keeping those with both ends in cs, with b innermost, so the first failure
+    reported is the first one an exhaustive walk over families of increasing
+    size would meet.
     """
     L.check_conditional_system(cs)
     tab = {}
@@ -139,10 +138,9 @@ def validate_conditional_state(
                 f"f({L.label(a)}, {L.label(a)}) = {tab[(a, a)]} ≠ 1",
                 witness=(L.label(a),),
             )
-    for a1, a2 in combinations(sorted(cs), 2):
-        if not L.is_orthogonal(a1, a2):
+    for a1, a2, top in L.orthogonal_pairs:
+        if a1 not in cs or a2 not in cs:
             continue
-        top = L.join(a1, a2)
         w1, w2 = tab[(a1, top)], tab[(a2, top)]
         for b in L.elements:
             mix = w1 * tab[(b, a1)] + w2 * tab[(b, a2)]

@@ -103,6 +103,16 @@ class TestValidateCommand:
             files.load_document(str(path))
         assert main(["validate", str(path)]) == 2
 
+    def test_deep_nesting_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(ParseError, match="nested too deeply"):
+            files.load_document(str(path))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "nested too deeply" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_huge_string_literal_exits_2(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_smap.json").read_text())
         doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
@@ -121,6 +131,16 @@ class TestValidateCommand:
         code, out = run(capsys, "validate", str(path))
         assert code == 1
         assert "FAIL p.json:s1  (table missing entry p(a, a))" in out
+
+    def test_missing_off_diagonal_fails_s1(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_smap.json").read_text())
+        doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
+        del doc["table"]["a"]["b"]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "FAIL p.json:s1  (table missing entry p(a, b))" in out
 
     def test_corrupted_conditional_state(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_f.json").read_text())

@@ -105,6 +105,19 @@ class TestConversions:
         with pytest.raises(SupportNotConditionalSystem):
             q.smap_to_conditional(p)
 
+    def test_support_not_conditional_system_witness(self):
+        # p(x, y) = m(x∧y) with m(a) = 1, m(b) = 0 has support {a, 1}.
+        L = q.build_catalog("boolean", 2)
+        m = q.validate_state(L, [F(L.leq(L.id_of("a"), x)) for x in L.elements])
+        p = q.validate_smap(L, [[m(L.meet(x, y)) for y in L.elements] for x in L.elements])
+        with pytest.raises(SupportNotConditionalSystem) as exc:
+            q.smap_to_conditional(p)
+        assert str(exc.value) == (
+            "support of the s-map is not a conditional system: "
+            "not closed under relative complement of a in 1"
+        )
+        assert exc.value.witness == ("a", "1")
+
     def test_round_trips(self, instances):
         for L, f, p in instances:
             f2 = q.smap_to_conditional(p)
