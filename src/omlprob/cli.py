@@ -1,7 +1,8 @@
 """Command-line front door: validate, convert, indep, condexp, gen.
 
 Exit codes: 0 on success, 1 when a validation check fails, 2 on I/O or
-schema problems.  Reports are printed as text or as versioned JSON
+schema problems, 3 on an internal error (a bug, reported to stderr with its
+traceback).  Reports are printed as text or as versioned JSON
 (``--format json``); rationals print as "p/q" unless ``--decimal`` is given,
 and a non-terminating decimal is an error unless ``--approx`` allows a float
 approximation.
@@ -52,6 +53,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -359,6 +361,17 @@ def main(argv=None) -> int:
         report.check(type(exc).__name__, False, str(exc))
         print(report.render(args.format))
         return EXIT_INVALID
+    except Exception as exc:
+        print(
+            Report(
+                status="error", values={"error": f"internal error: {type(exc).__name__}: {exc}"}
+            ).render(args.format),
+            file=sys.stderr,
+        )
+        import traceback  # only on this path: the import slows start-up
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
     print(report.render(args.format))
     return code
 

@@ -2,11 +2,12 @@
 
 An element is just an integer id into the lattice's label table.  The order
 is kept as per-element bitmasks (``up[i]`` holds the ids above i), which makes
-meets, joins and the exhaustive axiom checks cheap for the desk-scale
-lattices this package handles.  Orthogonality is kept the same way
-(``perp[b]`` holds the ids below b⊥), and ``orthogonal_pairs`` lists every
-pair a < b with a ⊥ b together with a∨b, once, for the validators' additivity
-and mixing laws.
+the exhaustive axiom checks cheap for the desk-scale lattices this package
+handles; the meet of a and b is the one element whose down-set is
+``down[a] & down[b]``, found by dictionary lookup (joins likewise).
+Orthogonality is kept the same way (``perp[b]`` holds the ids below b⊥), and
+``orthogonal_pairs`` lists every pair a < b with a ⊥ b together with a∨b,
+once, for the validators' additivity and mixing laws.
 
 A lattice is validated completely at construction time: bounded poset,
 existence and uniqueness of all meets/joins, the ortholattice axioms and the
@@ -32,13 +33,11 @@ from .errors import (
 
 
 def _bits(mask: int):
-    """Iterate the set bit positions of mask."""
-    i = 0
+    """Iterate the set bit positions of mask, in ascending order."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -277,18 +276,20 @@ def build_lattice(
         raise NotALattice("no unique smallest/greatest element")
     zero, one = bottoms[0], tops[0]
 
+    # Antisymmetry makes x ↦ down[x] and x ↦ up[x] injective, so the meet
+    # of a and b is the element whose down-set is down[a] ∩ down[b], if any.
+    meet_of = {d: x for x, d in enumerate(down)}
+    join_of = {u: x for x, u in enumerate(up)}
     meet_table = [[0] * n for _ in range(n)]
     join_table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            lower = down[a] & down[b]
-            m = next((x for x in _bits(lower) if down[x] == lower), None)
+            m = meet_of.get(down[a] & down[b])
             if m is None:
                 raise NotALattice(
                     f"no meet for ({labels[a]}, {labels[b]})", witness=(labels[a], labels[b])
                 )
-            upper = up[a] & up[b]
-            j = next((x for x in _bits(upper) if up[x] == upper), None)
+            j = join_of.get(up[a] & up[b])
             if j is None:
                 raise NotALattice(
                     f"no join for ({labels[a]}, {labels[b]})", witness=(labels[a], labels[b])

@@ -41,6 +41,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, str):
         _check_literal_size(value)
         try:
+            p, slash, q = value.partition("/")
+            # "p/q" in ASCII digits, already bounded in size: skip the regex.
+            if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
+                return Fraction(int(p), int(q))
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc

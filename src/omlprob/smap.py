@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add, itemgetter
 from typing import Mapping
 
 from .errors import (
@@ -25,6 +27,10 @@ from .states import ConditionalState, State, validate_conditional_state, validat
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Bound on the common denominator s1–s3 are checked over (see
+# _scale_to_integers).  Catalog and benchmark tables need 20 bits or fewer.
+MAX_SCALE_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -44,49 +50,83 @@ class SMap:
         return frozenset(b for b in L.elements if self.table[b][b] != 0)
 
 
+def _fraction(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _scale_to_integers(rows):
+    """``(vals, top)``: the table times the lcm D of its denominators, as
+    lists of rows, and D.
+
+    s1–s3 hold for ``rows`` iff they hold for ``vals`` with ``top`` in place
+    of 1.  If D reaches 2**MAX_SCALE_BITS, returns ``rows`` itself (as lists)
+    and ``ONE`` instead, so no table makes the scaled entries grow without
+    bound.
+    """
+    dens = {x.denominator for row in rows for x in row}
+    D = 1
+    for d in dens:
+        D = lcm(D, d)
+        if D.bit_length() > MAX_SCALE_BITS:
+            return [list(row) for row in rows], ONE
+    scale = {d: D // d for d in dens}
+    return [[x.numerator * scale[x.denominator] for x in row] for row in rows], D
+
+
 def validate_smap(L: OrthomodularLattice, table) -> SMap:
     """Check s1–s3 exhaustively and return an SMap.
 
     ``table`` is a mapping (a, b) -> Fraction or a dense nested sequence.
+    The axioms are checked on the table scaled to a common denominator;
+    reports and the returned table hold the ``Fraction`` values.
     """
     n = len(L)
     if isinstance(table, Mapping):
         try:
             rows = tuple(
-                tuple(Fraction(table[(a, b)]) for b in L.elements) for a in L.elements
+                tuple(_fraction(table[(a, b)]) for b in L.elements) for a in L.elements
             )
         except KeyError as exc:
             a, b = (L.label(x) for x in exc.args[0])
             raise S1Violation(f"table missing entry p({a}, {b})", witness=(a, b)) from exc
     else:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in table)
+        rows = tuple(tuple(_fraction(v) for v in row) for row in table)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise S1Violation("table is not total")
-    for a in L.elements:
-        for b in L.elements:
-            if not (ZERO <= rows[a][b] <= ONE):
-                raise S1Violation(
-                    f"p({L.label(a)}, {L.label(b)}) = {rows[a][b]} outside [0,1]",
-                    witness=(L.label(a), L.label(b)),
-                )
-    if rows[L.one][L.one] != 1:
+    vals, top = _scale_to_integers(rows)
+    for a, row in enumerate(vals):
+        if min(row) < 0 or max(row) > top:
+            b = next(b for b, x in enumerate(row) if not 0 <= x <= top)
+            raise S1Violation(
+                f"p({L.label(a)}, {L.label(b)}) = {rows[a][b]} outside [0,1]",
+                witness=(L.label(a), L.label(b)),
+            )
+    if vals[L.one][L.one] != top:
         raise S1Violation(f"p(1,1) = {rows[L.one][L.one]} ≠ 1")
     for a in L.elements:
+        row = vals[a]
         for b in L.elements:
-            if L.is_orthogonal(a, b) and rows[a][b] != 0:
+            if L.is_orthogonal(a, b) and row[b] != 0:
                 raise S2Violation(
                     f"p({L.label(a)}, {L.label(b)}) ≠ 0 on an orthogonal pair",
                     witness=(L.label(a), L.label(b)),
                 )
+    # Lists, not tuples: CPython keeps up to 2000 freed tuples of each short
+    # length for reuse, so n-tuples built per pair would stay allocated.
+    cols = [list(map(itemgetter(c), vals)) for c in L.elements]
     for a, b, j in L.orthogonal_pairs:
-        for c in L.elements:
-            if rows[j][c] != rows[a][c] + rows[b][c]:
+        if vals[j] == list(map(add, vals[a], vals[b])) and cols[j] == list(
+            map(add, cols[a], cols[b])
+        ):
+            continue
+        for c in L.elements:  # find the first failing c, rows before columns
+            if vals[j][c] != vals[a][c] + vals[b][c]:
                 raise S3Violation(
                     f"p({L.label(j)}, {L.label(c)}) ≠ "
                     f"p({L.label(a)}, {L.label(c)}) + p({L.label(b)}, {L.label(c)})",
                     witness=(L.label(c), (L.label(a), L.label(b)), "first"),
                 )
-            if rows[c][j] != rows[c][a] + rows[c][b]:
+            if vals[c][j] != vals[c][a] + vals[c][b]:
                 raise S3Violation(
                     f"p({L.label(c)}, {L.label(j)}) ≠ "
                     f"p({L.label(c)}, {L.label(a)}) + p({L.label(c)}, {L.label(b)})",

@@ -7,13 +7,18 @@ subsets), so it is only usable on small lattices.
 The library reads the orthogonal pairs of additivity and s3 from
 ``L.orthogonal_pairs``.  The additivity and s3 oracles find them with a
 double loop over all elements and an orthogonality test instead.
+
+The library checks s1–s3 on the s-map table scaled to a common denominator.
+The s-map oracle checks them on the ``Fraction`` entries, one at a time.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from typing import Mapping
 
-from omlprob.errors import C3Violation, NotAdditive, S3Violation
+from omlprob.errors import C3Violation, NotAdditive, S1Violation, S2Violation, S3Violation
 from omlprob.lattice import OrthomodularLattice
 
 
@@ -80,3 +85,60 @@ def s3_exhaustive(L: OrthomodularLattice, rows) -> S3Violation | None:
                             witness=(L.label(c), (L.label(a), L.label(b)), "second"),
                         )
     return None
+
+
+def smap_exhaustive(L: OrthomodularLattice, table) -> S1Violation | S2Violation | S3Violation | None:
+    """The first s1–s3 failure of ``table`` (as ``validate_smap`` takes it), or None."""
+    n = len(L)
+    if isinstance(table, Mapping):
+        try:
+            rows = tuple(
+                tuple(Fraction(table[(a, b)]) for b in L.elements) for a in L.elements
+            )
+        except KeyError as exc:
+            a, b = (L.label(x) for x in exc.args[0])
+            return S1Violation(f"table missing entry p({a}, {b})", witness=(a, b))
+    else:
+        rows = tuple(tuple(Fraction(v) for v in row) for row in table)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            return S1Violation("table is not total")
+    for a in L.elements:
+        for b in L.elements:
+            if not (0 <= rows[a][b] <= 1):
+                return S1Violation(
+                    f"p({L.label(a)}, {L.label(b)}) = {rows[a][b]} outside [0,1]",
+                    witness=(L.label(a), L.label(b)),
+                )
+    if rows[L.one][L.one] != 1:
+        return S1Violation(f"p(1,1) = {rows[L.one][L.one]} ≠ 1")
+    for a in L.elements:
+        for b in L.elements:
+            if L.is_orthogonal(a, b) and rows[a][b] != 0:
+                return S2Violation(
+                    f"p({L.label(a)}, {L.label(b)}) ≠ 0 on an orthogonal pair",
+                    witness=(L.label(a), L.label(b)),
+                )
+    for a, b, j in L.orthogonal_pairs:
+        for c in L.elements:
+            if rows[j][c] != rows[a][c] + rows[b][c]:
+                return S3Violation(
+                    f"p({L.label(j)}, {L.label(c)}) ≠ "
+                    f"p({L.label(a)}, {L.label(c)}) + p({L.label(b)}, {L.label(c)})",
+                    witness=(L.label(c), (L.label(a), L.label(b)), "first"),
+                )
+            if rows[c][j] != rows[c][a] + rows[c][b]:
+                return S3Violation(
+                    f"p({L.label(c)}, {L.label(j)}) ≠ "
+                    f"p({L.label(c)}, {L.label(a)}) + p({L.label(c)}, {L.label(b)})",
+                    witness=(L.label(c), (L.label(a), L.label(b)), "second"),
+                )
+    return None
+
+
+def assert_same_failure(got, want) -> None:
+    """``got`` (raised, or None) is the failure the oracle returned as ``want``."""
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert type(got) is type(want)
+        assert got.witness == want.witness
+        assert str(got) == str(want)

@@ -25,33 +25,33 @@ def _atoms(L):
 
 
 def _other_section(L, tab, rng):
-    """A state α concentrated on a condition a ∉ {0, 1} that differs from
-    f(., a), as a replacement for that section; None when no such a exists.
+    """Swap the section f(., a) at one or two conditions a ∉ {0, 1} for
+    another state concentrated on a; None when no such a exists.
 
     C1 and C2 still hold after the swap.  The pair {a, a⊥} now mixes
     f(b, 1) = f(a, 1)·α(b) + f(a⊥, 1)·f(b, a⊥) with f(a, 1) > 0, so C3 fails.
+    With three or more blocks to choose from (mo(n ≥ 3), and boolean(3),
+    where each two-atom element is its own choice), two conditions from
+    different blocks are swapped: two pairs fail, and the first witness
+    depends on the order in which the pairs are visited.
     """
     if is_boolean_lattice(L):
         atoms = _atoms(L)
         below = {
             a: [t for t in atoms if L.leq(t, a)] for a in L.elements if a != L.one
         }
-        candidates = [a for a, ts in below.items() if len(ts) >= 2]
-        if not candidates:
-            return None
-        a = rng.choice(candidates)
+        blocks = [(a,) for a, ts in below.items() if len(ts) >= 2]
 
-        def draw():
+        def draw(a):
             w = {t: F(rng.randint(1, DENOM)) for t in below[a]}
             total = sum(w.values())
             return {x: sum((v for t, v in w.items() if L.leq(t, x)), F(0)) / total
                     for x in L.elements}
     else:
         blocks = mo_blocks(L)
-        c, cp = rng.choice(blocks)
-        a, ap = (c, cp) if rng.random() < 0.5 else (cp, c)
 
-        def draw():
+        def draw(a):
+            ap = L.ortho(a)
             alpha = {L.zero: F(0), L.one: F(1), a: F(1), ap: F(0)}
             for x, xp in blocks:
                 if x not in (a, ap):
@@ -59,12 +59,16 @@ def _other_section(L, tab, rng):
                     alpha[xp] = 1 - alpha[x]
             return alpha
 
-    while True:
-        alpha = draw()
-        if any(alpha[x] != tab[(x, a)] for x in L.elements):
-            out = dict(tab)
-            out.update({(x, a): alpha[x] for x in L.elements})
-            return out
+    if not blocks:
+        return None
+    out = dict(tab)
+    for block in rng.sample(blocks, 2 if len(blocks) >= 3 else 1):
+        a = rng.choice(block)
+        alpha = draw(a)
+        while all(alpha[x] == tab[(x, a)] for x in L.elements):
+            alpha = draw(a)
+        out.update({(x, a): alpha[x] for x in L.elements})
+    return out
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,7 +4,7 @@ import pathlib
 import pytest
 
 import omlprob as q
-from omlprob import files
+from omlprob import cli, files
 from omlprob.cli import main
 from omlprob.errors import ParseError, SchemaError
 
@@ -70,6 +70,21 @@ class TestFileLoading:
             for x in example_f.lattice.elements:
                 lab = example_f.lattice.label
                 assert f2(f2.lattice.id_of(lab(x)), f2.lattice.id_of(lab(c))) == example_f(x, c)
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch, fmt):
+        def broken(args, fmt_value):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_validate", broken)
+        code = main(["--format", fmt, "validate", str(DATA / "mo2_lattice.json")])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_INTERNAL == 3
+        assert captured.out == ""
+        assert "internal error: RuntimeError: boom" in captured.err
+        assert "Traceback" in captured.err
 
 
 class TestValidateCommand:

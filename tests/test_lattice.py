@@ -108,6 +108,16 @@ class TestBuild:
             q.build_lattice(labels, leq, [["0", "1"], ["a", "b"], ["c", "d"]])
         assert exc.value.witness == ("a", "b")
 
+    def test_no_unique_meet(self):
+        # c, d < a, b: the pair (a, b) has maximal lower bounds c and d.
+        labels = ["0", "a", "b", "c", "d", "1"]
+        leq = [["0", "c"], ["0", "d"], ["c", "a"], ["c", "b"], ["d", "a"],
+               ["d", "b"], ["a", "1"], ["b", "1"]]
+        with pytest.raises(NotALattice) as exc:
+            q.build_lattice(labels, leq, [["0", "1"], ["a", "b"], ["c", "d"]])
+        assert exc.value.witness == ("a", "b")
+        assert str(exc.value) == "no meet for (a, b)"
+
     def test_complement_law_violation(self):
         with pytest.raises(NotAnOrtholattice):
             q.build_lattice(["0", "a", "1"], [["0", "a"], ["a", "1"]],
@@ -130,6 +140,16 @@ class TestDerivedRelations:
             for b in mo2.elements:
                 assert mo2.meet(a, b) == brute_meet(mo2, a, b)
                 assert mo2.join(a, b) == brute_join(mo2, a, b)
+
+    @pytest.mark.parametrize(
+        "kind, n", [("boolean", n) for n in range(1, 7)] + [("mo", n) for n in range(1, 13)]
+    )
+    def test_meet_join_against_oracle_on_catalog(self, kind, n):
+        L = q.build_catalog(kind, n)
+        for a in L.elements:
+            for b in L.elements:
+                assert L.meet(a, b) == brute_meet(L, a, b)
+                assert L.join(a, b) == brute_join(L, a, b)
 
     def test_meet_with_one_is_identity(self, mo2):
         for a in mo2.elements:

@@ -11,7 +11,7 @@ from omlprob import files
 from omlprob.errors import NotAdditive, S3Violation
 
 from conftest import DATA
-from oracles import additivity_exhaustive, s3_exhaustive
+from oracles import additivity_exhaustive, assert_same_failure, s3_exhaustive
 
 PERTURB_KINDS = (
     ("boolean", 2), ("boolean", 3), ("boolean", 4),
@@ -56,14 +56,6 @@ def _lattice(kind, n):
     return q.build_catalog(kind, n)
 
 
-def _same_failure(got, want):
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert type(got) is type(want)
-        assert got.witness == want.witness
-        assert str(got) == str(want)
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(PERTURB_KINDS), st.integers(0, 2**32), st.data())
 def test_state_additivity_agrees_with_oracle(kind, seed, data):
@@ -80,7 +72,7 @@ def test_state_additivity_agrees_with_oracle(kind, seed, data):
         got = exc
     else:
         got = None
-    _same_failure(got, want)
+    assert_same_failure(got, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,4 +101,4 @@ def test_smap_s3_agrees_with_oracle(kind, seed, data):
         got = exc
     else:
         got = None
-    _same_failure(got, want)
+    assert_same_failure(got, want)

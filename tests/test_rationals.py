@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from omlprob.errors import ParseError
 from omlprob.rationals import format_rational, has_finite_decimal, parse_rational
@@ -48,3 +49,31 @@ def test_parse_accepts_literals_at_the_bound():
     assert parse_rational("1e1000") == 10**1000
     assert parse_rational("1e-1000") == F(1, 10**1000)
     assert parse_rational("9" * 1000) == 10**1000 - 1
+
+
+@given(st.text("0123456789", min_size=1, max_size=40), st.text("0123456789", min_size=1, max_size=40))
+def test_parse_ascii_fraction_literals(p, q):
+    assume(int(q) != 0)
+    assert parse_rational(f"{p}/{q}") == F(f"{p}/{q}") == F(int(p), int(q))
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("0/5", F(0)),
+        ("007/010", F(7, 10)),
+        ("١/٢", F(1, 2)),
+        ("１/２", F(1, 2)),
+        (" 3/4 ", F(3, 4)),
+        ("+1/2", F(1, 2)),
+        ("1_0/3", F(10, 3)),
+    ],
+)
+def test_parse_fraction_literal_forms(text, want):
+    assert parse_rational(text) == want
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1/", "/2", "1/-2", "1/2/3", "0/000"])
+def test_parse_rejects_malformed_fraction_literals(bad):
+    with pytest.raises(ParseError):
+        parse_rational(bad)

@@ -1,0 +1,210 @@
+"""s1–s3 on the common-denominator integer table, against the Fraction oracle."""
+
+import time
+from fractions import Fraction as F
+from functools import lru_cache
+from math import lcm
+
+from hypothesis import given, settings, strategies as st
+
+import omlprob as q
+from omlprob import smap
+from omlprob.catalog import is_boolean_lattice, mo_blocks
+from omlprob.errors import S1Violation, S2Violation, S3Violation
+
+from oracles import assert_same_failure, smap_exhaustive
+
+KINDS = (
+    ("boolean", 2), ("boolean", 3), ("boolean", 4),
+    ("mo", 2), ("mo", 3), ("mo", 4), ("mo", 5),
+)
+DENOMS = (3, 7, 1000) + tuple(2**k for k in (1, 5, 20))
+PERTURBATIONS = ("none", "below", "above", "top", "orthogonal", "entry")
+FORMS = ("fraction", "mapping", "str", "int")
+
+
+@lru_cache(maxsize=None)
+def _lattice(kind, n):
+    return q.build_catalog(kind, n)
+
+
+@lru_cache(maxsize=None)
+def _random_rows(kind, n, seed):
+    return q.random_smap(_lattice(kind, n), seed).table
+
+
+def _two_valued_state(L, choice):
+    """A 0/1-valued state: the up-set of an atom (Boolean) or one element of
+    every block (MO); ``choice`` picks which."""
+    if is_boolean_lattice(L):
+        atoms = [a for a in L.elements if a != L.zero
+                 and not any(b not in (L.zero, a) and L.leq(b, a) for b in L.elements)]
+        t = atoms[choice % len(atoms)]
+        return [int(L.leq(t, x)) for x in L.elements]
+    ones = {L.one} | {pair[choice >> i & 1] for i, pair in enumerate(mo_blocks(L))}
+    return [int(x in ones) for x in L.elements]
+
+
+def _validate(L, table):
+    try:
+        p = q.validate_smap(L, table)
+    except (S1Violation, S2Violation, S3Violation) as exc:
+        return None, exc
+    return p, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(KINDS),
+    st.sampled_from(FORMS),
+    st.sampled_from(PERTURBATIONS),
+    st.sampled_from(DENOMS),
+    st.data(),
+)
+def test_integer_kernel_agrees_with_fraction_oracle(kind, form, perturbation, den, data):
+    """A valid table, perturbed once, in one of the forms validate_smap takes;
+    the validator raises exactly what the Fraction oracle returns.
+
+    Valid tables are t·p₁ + (1−t)·p₂ for random s-maps p₁, p₂ and t of
+    denominator ``den``, or (for int tables) m(a)·m(b) for a 0/1 state m.
+    """
+    L = _lattice(*kind)
+    if form == "int":
+        m = _two_valued_state(L, data.draw(st.integers(0, 2**16)))
+        rows = [[F(m[a] * m[b]) for b in L.elements] for a in L.elements]
+        den = 1
+    else:
+        p1, p2 = (_random_rows(*kind, data.draw(st.integers(0, 31))) for _ in range(2))
+        t = F(data.draw(st.integers(0, den)), den)
+        rows = [[t * x + (1 - t) * y for x, y in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
+
+    def value(lo, hi):
+        return F(data.draw(st.integers(lo, hi)), den)
+
+    elems = list(L.elements)
+    if perturbation == "below":
+        rows[data.draw(st.sampled_from(elems))][data.draw(st.sampled_from(elems))] = value(-den, -1)
+    elif perturbation == "above":
+        rows[data.draw(st.sampled_from(elems))][data.draw(st.sampled_from(elems))] = 1 + value(1, den)
+    elif perturbation == "top":
+        rows[L.one][L.one] = value(0, den - 1)
+    elif perturbation == "orthogonal":
+        a, b = data.draw(st.sampled_from(
+            [(a, b) for a in L.elements for b in L.elements if L.is_orthogonal(a, b)]))
+        rows[a][b] = value(1, den)
+    elif perturbation == "entry":
+        # A row break moves p(a, c); a column break moves p(c, a).
+        a, c = data.draw(st.sampled_from(
+            [(a, c) for a in L.elements for c in L.elements
+             if not L.is_orthogonal(a, c) and (a, c) != (L.one, L.one)]))
+        if data.draw(st.booleans()):
+            a, c = c, a
+        rows[a][c] = value(0, den)
+
+    if form == "fraction":
+        table = rows
+    elif form == "mapping":
+        table = {(a, b): rows[a][b] for a in L.elements for b in L.elements}
+    elif form == "str":
+        table = [[str(x) for x in row] for row in rows]
+    else:
+        table = [[int(x) for x in row] for row in rows]
+
+    want = smap_exhaustive(L, table)
+    p, got = _validate(L, table)
+    assert_same_failure(got, want)
+    if p is not None:
+        assert p.table == tuple(tuple(F(x) for x in row) for row in rows)
+        assert all(type(x) is F for row in p.table for x in row)
+
+
+def test_catalog_tables_are_checked_on_integers():
+    rows = q.random_smap(q.build_catalog("mo", 3), 0).table
+    vals, top = smap._scale_to_integers(rows)
+    assert top == lcm(*(x.denominator for row in rows for x in row))
+    assert top.bit_length() <= 20
+    assert all(type(v) is int and v == x * top for r, row in zip(rows, vals)
+               for x, v in zip(r, row))
+
+
+def test_scaling_stops_at_the_bound():
+    bound = smap.MAX_SCALE_BITS
+    below = ((F(1, 2**(bound - 1)),),)
+    at = ((F(1, 2**bound),),)
+    assert smap._scale_to_integers(below) == ([[1]], 2**(bound - 1))
+    assert smap._scale_to_integers(at) == ([[F(1, 2**bound)]], smap.ONE)
+
+
+def _is_prime(n):
+    """Deterministic Miller–Rabin for n < 3.3·10²⁴."""
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2:
+        return False
+    for p in small:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in small:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes_from(start, count):
+    out, n = [], start | 1
+    while len(out) < count:
+        if _is_prime(n):
+            out.append(n)
+        n += 2
+    return out
+
+
+def _prime_denominator_table(L, primes):
+    """An s-map on mo(k) with every cross-block entry p(c, d) = 1/P, one
+    prime P per ordered pair of blocks: ν = 1/2 on every atom, and
+    p(c⊥, d) = p(c, d⊥) = 1/2 − 1/P, p(c⊥, d⊥) = 1/P."""
+    blocks = mo_blocks(L)
+    half = F(1, 2)
+    rows = [[F(0)] * len(L) for _ in L.elements]
+    rows[L.one][L.one] = F(1)
+    for c, cp in blocks:
+        for x in (c, cp):
+            rows[x][x] = rows[x][L.one] = rows[L.one][x] = half
+    it = iter(primes)
+    for c, cp in blocks:
+        for d, dp in blocks:
+            if c != d:
+                r = F(1, next(it))
+                rows[c][d] = rows[cp][dp] = r
+                rows[cp][d] = rows[c][dp] = half - r
+    return rows
+
+
+def test_prime_denominators_take_the_bounded_path():
+    L = q.build_catalog("mo", 16)
+    primes = _primes_from(2**61, 16 * 15)
+    rows = _prime_denominator_table(L, primes)
+    assert len({x.denominator for row in rows for x in row}) > 200
+    vals, top = smap._scale_to_integers(tuple(map(tuple, rows)))
+    assert top is smap.ONE
+
+    start = time.perf_counter()
+    p, got = _validate(L, rows)
+    assert got is None and smap_exhaustive(L, rows) is None
+    assert p.table == tuple(map(tuple, rows))
+
+    x, y = mo_blocks(L)[3][0], mo_blocks(L)[9][1]
+    rows[x][y] += F(1, primes[0] * primes[1])
+    p, got = _validate(L, rows)
+    assert time.perf_counter() - start < 1.0
+    assert_same_failure(got, smap_exhaustive(L, rows))
+    assert isinstance(got, S3Violation)
