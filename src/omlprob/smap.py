@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import (
@@ -23,14 +22,17 @@ from .errors import (
     NotAConditionalSystem,
 )
 from .lattice import OrthomodularLattice
-from .states import ConditionalState, State, validate_conditional_state, validate_state
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-# Bound on the common denominator s1–s3 are checked over (see
-# _scale_to_integers).  Catalog and benchmark tables need 20 bits or fewer.
-MAX_SCALE_BITS = 1024
+from .states import (
+    ONE,
+    ZERO,
+    ConditionalState,
+    State,
+    _first_nonadditive,
+    _fraction,
+    _scale_to_integers,
+    validate_conditional_state,
+    validate_state,
+)
 
 
 @dataclass(frozen=True)
@@ -48,29 +50,6 @@ class SMap:
         """Elements with nonzero diagonal; the conditional-state domain."""
         L = self.lattice
         return frozenset(b for b in L.elements if self.table[b][b] != 0)
-
-
-def _fraction(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
-def _scale_to_integers(rows):
-    """``(vals, top)``: the table times the lcm D of its denominators, as
-    lists of rows, and D.
-
-    s1–s3 hold for ``rows`` iff they hold for ``vals`` with ``top`` in place
-    of 1.  If D reaches 2**MAX_SCALE_BITS, returns ``rows`` itself (as lists)
-    and ``ONE`` instead, so no table makes the scaled entries grow without
-    bound.
-    """
-    dens = {x.denominator for row in rows for x in row}
-    D = 1
-    for d in dens:
-        D = lcm(D, d)
-        if D.bit_length() > MAX_SCALE_BITS:
-            return [list(row) for row in rows], ONE
-    scale = {d: D // d for d in dens}
-    return [[x.numerator * scale[x.denominator] for x in row] for row in rows], D
 
 
 def validate_smap(L: OrthomodularLattice, table) -> SMap:
@@ -111,27 +90,25 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
                     f"p({L.label(a)}, {L.label(b)}) ≠ 0 on an orthogonal pair",
                     witness=(L.label(a), L.label(b)),
                 )
-    # Lists, not tuples: CPython keeps up to 2000 freed tuples of each short
-    # length for reuse, so n-tuples built per pair would stay allocated.
     cols = [list(map(itemgetter(c), vals)) for c in L.elements]
-    for a, b, j in L.orthogonal_pairs:
-        if vals[j] == list(map(add, vals[a], vals[b])) and cols[j] == list(
-            map(add, cols[a], cols[b])
-        ):
-            continue
-        for c in L.elements:  # find the first failing c, rows before columns
-            if vals[j][c] != vals[a][c] + vals[b][c]:
-                raise S3Violation(
-                    f"p({L.label(j)}, {L.label(c)}) ≠ "
-                    f"p({L.label(a)}, {L.label(c)}) + p({L.label(b)}, {L.label(c)})",
-                    witness=(L.label(c), (L.label(a), L.label(b)), "first"),
-                )
-            if vals[c][j] != vals[c][a] + vals[c][b]:
-                raise S3Violation(
-                    f"p({L.label(c)}, {L.label(j)}) ≠ "
-                    f"p({L.label(c)}, {L.label(a)}) + p({L.label(c)}, {L.label(b)})",
-                    witness=(L.label(c), (L.label(a), L.label(b)), "second"),
-                )
+    hits = [
+        (hit, side)
+        for side, T in enumerate((vals, cols))
+        if (hit := _first_nonadditive(L.orthogonal_pairs, T)) is not None
+    ]
+    if hits:
+        # The first failing pair (pairs are in lexicographic order), then the
+        # first c, a row before a column at the same c.
+        ((a, b, j), c), side = min(hits)
+
+        def entry(x):  # p(x, c) in a row, p(c, x) in a column
+            x, y = (x, c) if side == 0 else (c, x)
+            return f"p({L.label(x)}, {L.label(y)})"
+
+        raise S3Violation(
+            f"{entry(j)} ≠ {entry(a)} + {entry(b)}",
+            witness=(L.label(c), (L.label(a), L.label(b)), ("first", "second")[side]),
+        )
     return SMap(L, rows)
 
 
@@ -173,7 +150,8 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
     """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b)."""
     L = p.lattice
     cs = p.support
-    tab = {(a, b): p(a, b) / p(b, b) for b in cs for a in L.elements}
+    t = p.table
+    tab = {(a, b): t[a][b] / t[b][b] for b in cs for a in L.elements}
     try:
         return validate_conditional_state(L, cs, tab)
     except NotAConditionalSystem as exc:
@@ -192,9 +170,9 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
     L = f.lattice
     if L.one not in f.conditions:
         raise DomainTooSmall("1 is not a condition", witness=(L.label(L.one),))
-    marginal = f.state_given(L.one)
-    support = [b for b in L.elements if marginal(b) != 0]
-    missing = [b for b in support if b not in f.conditions]
+    tab = f.table
+    marginal = [tab[(b, L.one)] for b in L.elements]
+    missing = [b for b, m in zip(L.elements, marginal) if m != 0 and b not in f.conditions]
     if missing:
         raise DomainTooSmall(
             "conditions missing for nonzero-marginal elements "
@@ -202,10 +180,7 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
             witness=tuple(L.label(b) for b in missing),
         )
     rows = [
-        [
-            f(a, b) * marginal(b) if marginal(b) != 0 else ZERO
-            for b in L.elements
-        ]
+        [tab[(a, b)] * m if m != 0 else ZERO for b, m in zip(L.elements, marginal)]
         for a in L.elements
     ]
     return validate_smap(L, rows)
@@ -217,12 +192,22 @@ def is_independent_product(p: SMap, b: int, a: int) -> bool:
 
 
 def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
-    """Ordered pairs (a, b) independent one way but not the other, by id."""
-    L = p.lattice
+    """Ordered pairs (a, b) independent one way but not the other, by id.
+
+    Each unordered pair is visited once.  Both directions compare with the
+    same product p(a, a)·p(b, b), so a pair with p(a, b) = p(b, a) (every
+    compatible pair) cannot be asymmetric and needs no product.
+    """
+    t = p.table
     out = []
-    for a in L.elements:
-        for b in L.elements:
-            if a != b:
-                if is_independent_product(p, a, b) and not is_independent_product(p, b, a):
+    for a, row in enumerate(t):
+        for b in range(a + 1, len(t)):
+            ab, ba = row[b], t[b][a]
+            if ab != ba:
+                prod = row[a] * t[b][b]
+                if ab == prod:
                     out.append((a, b))
+                elif ba == prod:
+                    out.append((b, a))
+    out.sort()
     return out

@@ -2,6 +2,9 @@
 
 All probabilities are exact ``Fraction`` values; independence and the mixing
 law C3 are equality statements, so nothing here tolerates floating point.
+The axioms of states, conditional states and s-maps are checked on tables
+scaled to integers by the lcm of their denominators (``_scale_to_integers``);
+reports and returned objects hold the ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -9,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import add, itemgetter
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -29,6 +34,50 @@ from .lattice import OrthomodularLattice
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
+# Bound on the common denominator the axioms are checked over (see
+# _scale_to_integers).  Catalog and benchmark tables need 20 bits or fewer.
+MAX_SCALE_BITS = 1024
+
+
+def _fraction(v) -> Fraction:
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def _scale_to_integers(rows):
+    """``(vals, top)``: the rows of ``Fraction``s times the lcm D of their
+    denominators, as lists of rows, and D.
+
+    The axioms hold for ``rows`` iff they hold for ``vals`` with ``top`` in
+    place of 1.  If D reaches 2**MAX_SCALE_BITS, returns ``rows`` itself (as
+    lists) and ``ONE`` instead, so no table makes the scaled entries grow
+    without bound.
+    """
+    dens = {x.denominator for row in rows for x in row}
+    D = 1
+    for d in dens:
+        D = lcm(D, d)
+        if D.bit_length() > MAX_SCALE_BITS:
+            return [list(row) for row in rows], ONE
+    scale = {d: D // d for d in dens}
+    return [[x.numerator * scale[x.denominator] for x in row] for row in rows], D
+
+
+def _first_nonadditive(pairs, T):
+    """The first ``((a, b, j), i)`` with T[j][i] ≠ T[a][i] + T[b][i], or None.
+
+    ``pairs`` holds triples (a, b, a∨b) and every T[x] is a list of the same
+    length; pairs are visited in order and i ascending, and a pair that holds
+    costs one list comparison.
+    """
+    for pair in pairs:
+        a, b, j = pair
+        # A list, not a tuple: CPython keeps up to 2000 freed tuples of each
+        # short length for reuse, so tuples built per pair would stay allocated.
+        s = list(map(add, T[a], T[b]))
+        if T[j] != s:
+            return pair, next(i for i, x in enumerate(s) if x != T[j][i])
+    return None
+
 
 @dataclass(frozen=True)
 class State:
@@ -45,27 +94,30 @@ def validate_state(L: OrthomodularLattice, values) -> State:
     """Check normalization and additivity exhaustively, returning a State.
 
     ``values`` may be a sequence indexed by element id or a mapping from id.
+    The checks run on the values scaled to integers.
     """
     if isinstance(values, Mapping):
-        vals = tuple(Fraction(values[a]) for a in L.elements)
+        vals = tuple(_fraction(values[a]) for a in L.elements)
     else:
-        vals = tuple(Fraction(v) for v in values)
+        vals = tuple(map(_fraction, values))
     if len(vals) != len(L):
         raise NotNormalized("state table is not total")
-    for a in L.elements:
-        if not (ZERO <= vals[a] <= ONE):
-            raise NotNormalized(f"m({L.label(a)}) = {vals[a]} outside [0,1]", witness=(L.label(a),))
-    if vals[L.zero] != 0:
+    (ints,), top = _scale_to_integers((vals,))
+    if min(ints) < 0 or max(ints) > top:
+        a = next(a for a, x in enumerate(ints) if not 0 <= x <= top)
+        raise NotNormalized(f"m({L.label(a)}) = {vals[a]} outside [0,1]", witness=(L.label(a),))
+    if ints[L.zero] != 0:
         raise NotNormalized(f"m(0) = {vals[L.zero]} ≠ 0", witness=(L.label(L.zero),))
-    if vals[L.one] != 1:
+    if ints[L.one] != top:
         raise NotNormalized(f"m(1) = {vals[L.one]} ≠ 1", witness=(L.label(L.one),))
-    for a, b, j in L.orthogonal_pairs:
-        if vals[j] != vals[a] + vals[b]:
-            raise NotAdditive(
-                f"m({L.label(a)} ∨ {L.label(b)}) ≠ "
-                f"m({L.label(a)}) + m({L.label(b)})",
-                witness=(L.label(a), L.label(b)),
-            )
+    hit = _first_nonadditive(L.orthogonal_pairs, [[x] for x in ints])
+    if hit is not None:
+        (a, b, _), _ = hit
+        raise NotAdditive(
+            f"m({L.label(a)} ∨ {L.label(b)}) ≠ "
+            f"m({L.label(a)}) + m({L.label(b)})",
+            witness=(L.label(a), L.label(b)),
+        )
     return State(L, vals)
 
 
@@ -110,48 +162,77 @@ def validate_conditional_state(
     by the law for the (k−1)-family (induction on k) yields
     f(b, ⋁a) = Σᵢ f(aᵢ, ⋁a)·f(b, aᵢ).
 
-    Pairs are taken from ``L.orthogonal_pairs`` in its lexicographic order,
-    keeping those with both ends in cs, with b innermost, so the first failure
-    reported is the first one an exhaustive walk over families of increasing
-    size would meet.
+    The axioms are checked on integers: each section f(., a) is scaled by the
+    lcm D_a of its own denominators to a row R_a (past 2**MAX_SCALE_BITS the
+    section keeps its ``Fraction``s and D_a = 1).  C1 bounds, f(0, a) = 0,
+    f(1, a) = D_a and C2 (R_a[a] = D_a) are ``int`` comparisons, and
+    additivity is checked for every section at once on the rows transposed
+    to per-element lists.  C3 at a pair (a₁, a₂) with join j, multiplied
+    through by D_j·D₁·D₂, is the one list comparison
+    D₁·D₂·R_j = (R_j[a₁]·D₂)·R_{a₁} + (R_j[a₂]·D₁)·R_{a₂}.
+
+    Only a failing stage is walked again, in the order below, to name its
+    first failure: C1 and C2 section by section over cs in the iteration
+    order of cs (each section through ``validate_state``), and C3 by b in
+    ``Fraction``s on the failing pair alone.  Pairs are taken
+    from ``L.orthogonal_pairs`` in its lexicographic order, keeping those
+    with both ends in cs, with b innermost, so the first failure reported is
+    the first one an exhaustive walk over families of increasing size would
+    meet.
     """
     L.check_conditional_system(cs)
-    tab = {}
+    tab, sections, R, D = {}, {}, {}, {}
     for a in cs:
-        for b in L.elements:
-            if (b, a) not in table:
-                raise C1Violation(
-                    f"table missing f({L.label(b)}, {L.label(a)})",
-                    witness=(L.label(b), L.label(a)),
-                )
-            tab[(b, a)] = Fraction(table[(b, a)])
-    for a in cs:
+        keys = [(b, a) for b in L.elements]
         try:
-            validate_state(L, [tab[(b, a)] for b in L.elements])
-        except (NotNormalized, NotAdditive) as exc:
-            raise C1Violation(
-                f"f(., {L.label(a)}) is not a state: {exc}",
-                witness=(L.label(a), exc.witness),
-            ) from exc
-        if tab[(a, a)] != 1:
-            raise C2Violation(
-                f"f({L.label(a)}, {L.label(a)}) = {tab[(a, a)]} ≠ 1",
-                witness=(L.label(a),),
-            )
-    for a1, a2, top in L.orthogonal_pairs:
+            sections[a] = [_fraction(table[k]) for k in keys]
+        except KeyError as exc:
+            b, a = (L.label(x) for x in exc.args[0])
+            raise C1Violation(f"table missing f({b}, {a})", witness=(b, a)) from None
+        tab.update(zip(keys, sections[a]))
+        (R[a],), D[a] = _scale_to_integers((sections[a],))
+    holds = all(
+        min(r) >= 0 and max(r) <= D[a] and r[L.zero] == 0 and r[L.one] == r[a] == D[a]
+        for a, r in R.items()
+    )
+    T = [list(map(itemgetter(x), R.values())) for x in L.elements]
+    if not holds or _first_nonadditive(L.orthogonal_pairs, T) is not None:
+        for a in cs:
+            try:
+                validate_state(L, sections[a])
+            except (NotNormalized, NotAdditive) as exc:
+                raise C1Violation(
+                    f"f(., {L.label(a)}) is not a state: {exc}",
+                    witness=(L.label(a), exc.witness),
+                ) from exc
+            if tab[(a, a)] != 1:
+                raise C2Violation(
+                    f"f({L.label(a)}, {L.label(a)}) = {tab[(a, a)]} ≠ 1",
+                    witness=(L.label(a),),
+                )
+    for a1, a2, j in L.orthogonal_pairs:
         if a1 not in cs or a2 not in cs:
             continue
-        w1, w2 = tab[(a1, top)], tab[(a2, top)]
-        for b in L.elements:
-            mix = w1 * tab[(b, a1)] + w2 * tab[(b, a2)]
-            if tab[(b, top)] != mix:
-                fam = (L.label(a1), L.label(a2))
-                raise C3Violation(
-                    f"f({L.label(b)}, {L.label(top)}) = {tab[(b, top)]} but the "
-                    f"mixture over {fam} gives {mix}",
-                    witness=(L.label(b), fam),
-                )
+        d1, d2, r = D[a1], D[a2], R[j]
+        w1, w2, d12 = r[a1] * d2, r[a2] * d1, d1 * d2
+        if [d12 * x for x in r] == [w1 * x + w2 * y for x, y in zip(R[a1], R[a2])]:
+            continue
+        _check_c3_pair(L, tab, a1, a2, j)
     return ConditionalState(L, cs, tab)
+
+
+def _check_c3_pair(L: OrthomodularLattice, tab, a1: int, a2: int, top: int) -> None:
+    """Raise C3Violation at the first b where the pair (a1, a2) breaks C3."""
+    w1, w2 = tab[(a1, top)], tab[(a2, top)]
+    for b in L.elements:
+        mix = w1 * tab[(b, a1)] + w2 * tab[(b, a2)]
+        if tab[(b, top)] != mix:
+            fam = (L.label(a1), L.label(a2))
+            raise C3Violation(
+                f"f({L.label(b)}, {L.label(top)}) = {tab[(b, top)]} but the "
+                f"mixture over {fam} gives {mix}",
+                witness=(L.label(b), fam),
+            )
 
 
 def build_conditional_state(
@@ -213,7 +294,7 @@ def build_conditional_state(
             conditions.add(top)
             for d in L.elements:
                 tab[(d, top)] = section[d]
-    return ConditionalState(L, frozenset(conditions), tab)
+    return validate_conditional_state(L, frozenset(conditions), tab)
 
 
 def is_independent(f: ConditionalState, b: int, a: int, c: int) -> bool:

@@ -10,6 +10,14 @@ double loop over all elements and an orthogonality test instead.
 
 The library checks s1–s3 on the s-map table scaled to a common denominator.
 The s-map oracle checks them on the ``Fraction`` entries, one at a time.
+
+The library checks C1–C3 on each section scaled by its own common
+denominator, all sections at once for additivity and one list comparison per
+pair for C3.  The conditional-state oracle checks them on the ``Fraction``
+entries, section by section and one b at a time.
+
+The library visits each unordered pair once to list asymmetric
+independence.  The oracle tests both orders of every ordered pair.
 """
 
 from __future__ import annotations
@@ -18,7 +26,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping
 
-from omlprob.errors import C3Violation, NotAdditive, S1Violation, S2Violation, S3Violation
+from omlprob.errors import (
+    C1Violation,
+    C2Violation,
+    C3Violation,
+    NotAdditive,
+    NotNormalized,
+    S1Violation,
+    S2Violation,
+    S3Violation,
+)
 from omlprob.lattice import OrthomodularLattice
 
 
@@ -133,6 +150,81 @@ def smap_exhaustive(L: OrthomodularLattice, table) -> S1Violation | S2Violation 
                     witness=(L.label(c), (L.label(a), L.label(b)), "second"),
                 )
     return None
+
+
+def _state_failure(L: OrthomodularLattice, vals) -> NotNormalized | NotAdditive | None:
+    for a in L.elements:
+        if not (0 <= vals[a] <= 1):
+            return NotNormalized(f"m({L.label(a)}) = {vals[a]} outside [0,1]", witness=(L.label(a),))
+    if vals[L.zero] != 0:
+        return NotNormalized(f"m(0) = {vals[L.zero]} ≠ 0", witness=(L.label(L.zero),))
+    if vals[L.one] != 1:
+        return NotNormalized(f"m(1) = {vals[L.one]} ≠ 1", witness=(L.label(L.one),))
+    for a, b, j in L.orthogonal_pairs:
+        if vals[j] != vals[a] + vals[b]:
+            return NotAdditive(
+                f"m({L.label(a)} ∨ {L.label(b)}) ≠ "
+                f"m({L.label(a)}) + m({L.label(b)})",
+                witness=(L.label(a), L.label(b)),
+            )
+    return None
+
+
+def cstate_exhaustive(
+    L: OrthomodularLattice, cs: frozenset[int], table
+) -> C1Violation | C2Violation | C3Violation | None:
+    """The first C1–C3 failure of ``table`` (as ``validate_conditional_state``
+    takes it), or None.  ``cs`` must be a conditional system."""
+    L.check_conditional_system(cs)
+    tab = {}
+    for a in cs:
+        for b in L.elements:
+            if (b, a) not in table:
+                return C1Violation(
+                    f"table missing f({L.label(b)}, {L.label(a)})",
+                    witness=(L.label(b), L.label(a)),
+                )
+            tab[(b, a)] = Fraction(table[(b, a)])
+    for a in cs:
+        exc = _state_failure(L, [tab[(b, a)] for b in L.elements])
+        if exc is not None:
+            return C1Violation(
+                f"f(., {L.label(a)}) is not a state: {exc}",
+                witness=(L.label(a), exc.witness),
+            )
+        if tab[(a, a)] != 1:
+            return C2Violation(
+                f"f({L.label(a)}, {L.label(a)}) = {tab[(a, a)]} ≠ 1",
+                witness=(L.label(a),),
+            )
+    for a1, a2, top in L.orthogonal_pairs:
+        if a1 not in cs or a2 not in cs:
+            continue
+        w1, w2 = tab[(a1, top)], tab[(a2, top)]
+        for b in L.elements:
+            mix = w1 * tab[(b, a1)] + w2 * tab[(b, a2)]
+            if tab[(b, top)] != mix:
+                fam = (L.label(a1), L.label(a2))
+                return C3Violation(
+                    f"f({L.label(b)}, {L.label(top)}) = {tab[(b, top)]} but the "
+                    f"mixture over {fam} gives {mix}",
+                    witness=(L.label(b), fam),
+                )
+    return None
+
+
+def asymmetric_pairs_exhaustive(p) -> list[tuple[int, int]]:
+    """Ordered pairs (a, b) with p(a, b) = p(a, a)·p(b, b) ≠ p(b, a), by id."""
+    L = p.lattice
+    out = []
+    for a in L.elements:
+        for b in L.elements:
+            if a != b:
+                ab = p(a, b) == p(b, b) * p(a, a)
+                ba = p(b, a) == p(a, a) * p(b, b)
+                if ab and not ba:
+                    out.append((a, b))
+    return out
 
 
 def assert_same_failure(got, want) -> None:

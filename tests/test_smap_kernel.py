@@ -8,7 +8,7 @@ from math import lcm
 from hypothesis import given, settings, strategies as st
 
 import omlprob as q
-from omlprob import smap
+from omlprob import states
 from omlprob.catalog import is_boolean_lattice, mo_blocks
 from omlprob.errors import S1Violation, S2Violation, S3Violation
 
@@ -120,7 +120,7 @@ def test_integer_kernel_agrees_with_fraction_oracle(kind, form, perturbation, de
 
 def test_catalog_tables_are_checked_on_integers():
     rows = q.random_smap(q.build_catalog("mo", 3), 0).table
-    vals, top = smap._scale_to_integers(rows)
+    vals, top = states._scale_to_integers(rows)
     assert top == lcm(*(x.denominator for row in rows for x in row))
     assert top.bit_length() <= 20
     assert all(type(v) is int and v == x * top for r, row in zip(rows, vals)
@@ -128,11 +128,11 @@ def test_catalog_tables_are_checked_on_integers():
 
 
 def test_scaling_stops_at_the_bound():
-    bound = smap.MAX_SCALE_BITS
+    bound = states.MAX_SCALE_BITS
     below = ((F(1, 2**(bound - 1)),),)
     at = ((F(1, 2**bound),),)
-    assert smap._scale_to_integers(below) == ([[1]], 2**(bound - 1))
-    assert smap._scale_to_integers(at) == ([[F(1, 2**bound)]], smap.ONE)
+    assert states._scale_to_integers(below) == ([[1]], 2**(bound - 1))
+    assert states._scale_to_integers(at) == ([[F(1, 2**bound)]], states.ONE)
 
 
 def _is_prime(n):
@@ -194,8 +194,8 @@ def test_prime_denominators_take_the_bounded_path():
     primes = _primes_from(2**61, 16 * 15)
     rows = _prime_denominator_table(L, primes)
     assert len({x.denominator for row in rows for x in row}) > 200
-    vals, top = smap._scale_to_integers(tuple(map(tuple, rows)))
-    assert top is smap.ONE
+    vals, top = states._scale_to_integers(tuple(map(tuple, rows)))
+    assert top is states.ONE
 
     start = time.perf_counter()
     p, got = _validate(L, rows)

@@ -139,6 +139,19 @@ class TestBuildConditionalState:
         with pytest.raises(WeightsNotNormalized):
             q.build_conditional_state(mo2, atoms, alphas, [F(1, 2), F(1, 4)])
 
+    def test_rejects_an_alpha_that_is_not_a_state(self, mo2, example_f):
+        """The table is validated: an unchecked State that is concentrated on
+        its atom but not additive breaks C1 in every section mixed from it,
+        first (in the iteration order of the conditions) at 1."""
+        a, ap = mo2.id_of("a"), mo2.id_of("a'")
+        vals = list(example_f.state_given(a).values)
+        vals[mo2.id_of("b")] += F(1, 10)
+        alphas = [q.State(mo2, tuple(vals)), example_f.state_given(ap)]
+        with pytest.raises(C1Violation) as exc:
+            q.build_conditional_state(mo2, [a, ap], alphas, [F(1, 2), F(1, 2)])
+        assert exc.value.witness == ("1", ("b", "b'"))
+        assert str(exc.value) == "f(., 1) is not a state: m(b ∨ b') ≠ m(b) + m(b')"
+
     def test_zero_mass_subfamily(self):
         L = q.build_catalog("boolean", 3)
         atoms = [x for x in L.elements
