@@ -4,8 +4,8 @@ Exit codes: 0 on success, 1 when a validation check fails, 2 on I/O or
 schema problems, 3 on an internal error (a bug, reported to stderr with its
 traceback).  Reports are printed as text or as versioned JSON
 (``--format json``); rationals print as "p/q" unless ``--decimal`` is given,
-and a non-terminating decimal is an error unless ``--approx`` allows a float
-approximation.
+and a non-terminating decimal is an error (exit 2) unless ``--approx`` allows
+a float approximation.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import (
     C2Violation,
     C3Violation,
     LatticeInputError,
+    NoExactDecimal,
     NotAdditive,
     NotALattice,
     NotAnOrtholattice,
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
 
     try:
         report, code = args.fn(args, fmt_value)
-    except (ParseError, SchemaError, LatticeInputError, OSError) as exc:
+    except (ParseError, SchemaError, LatticeInputError, NoExactDecimal, OSError) as exc:
         print(
             Report(status="error", values={"error": str(exc)}).render(args.format),
             file=sys.stderr,

@@ -138,3 +138,7 @@ class ParseError(OmlError):
 
 class SchemaError(OmlError):
     """JSON document does not match the documented schema."""
+
+
+class NoExactDecimal(OmlError, ValueError):
+    """A rational has no terminating decimal and approximation is not allowed."""

@@ -57,7 +57,7 @@ def document_type(doc: Mapping) -> str:
     """The declared or inferred document type."""
     if "type" in doc:
         kind = doc["type"]
-        if kind not in _FIELDS:
+        if not isinstance(kind, str) or kind not in _FIELDS:
             raise SchemaError(f"unknown document type {kind!r}")
         return kind
     if "labels" in doc:

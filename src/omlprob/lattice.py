@@ -18,7 +18,6 @@ is immutable, so concurrent reads are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -87,7 +86,7 @@ class OrthomodularLattice:
     def id_of(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise LatticeInputError(f"unknown element label {label!r}") from None
 
     def leq(self, a: int, b: int) -> bool:
@@ -131,53 +130,46 @@ class OrthomodularLattice:
             self, frozenset((self.zero, d, dp, self.one)), tuple(sorted((d, dp)))
         )
 
-    def check_conditional_system(self, members: frozenset[int]) -> None:
-        """Raise NotAConditionalSystem unless members satisfies the CS axioms."""
-        if self.zero in members:
-            raise NotAConditionalSystem("conditional system contains 0", witness=(self.label(self.zero),))
+    def _cs_gaps(self, members):
+        """Yield ``(is_join, a, b, x)`` for each missing x = a∨b or, for
+        a < b, x = a⊥∧b; a and b run over members in order, join first."""
         for a in members:
             for b in members:
                 j = self.join(a, b)
                 if j not in members:
-                    raise NotAConditionalSystem(
-                        f"not join-closed: {self.label(a)} ∨ {self.label(b)} missing",
-                        witness=(self.label(a), self.label(b)),
-                    )
+                    yield True, a, b, j
                 if a != b and self.leq(a, b):
                     r = self.meet(self._ortho[a], b)
                     if r not in members:
-                        raise NotAConditionalSystem(
-                            f"not closed under relative complement of "
-                            f"{self.label(a)} in {self.label(b)}",
-                            witness=(self.label(a), self.label(b)),
-                        )
+                        yield False, a, b, r
+
+    def check_conditional_system(self, members: frozenset[int]) -> None:
+        """Raise NotAConditionalSystem unless members satisfies the CS axioms."""
+        if self.zero in members:
+            raise NotAConditionalSystem("conditional system contains 0", witness=(self.label(self.zero),))
+        for is_join, a, b, _ in self._cs_gaps(members):
+            la, lb = self.label(a), self.label(b)
+            raise NotAConditionalSystem(
+                f"not join-closed: {la} ∨ {lb} missing"
+                if is_join
+                else f"not closed under relative complement of {la} in {lb}",
+                witness=(la, lb),
+            )
 
     def generate_cs(self, seed: Iterable[int]) -> frozenset[int]:
-        """Smallest conditional system containing the seed set."""
+        """Smallest conditional system containing the seed set.
+
+        The closure never reaches 0: a join of nonzero elements is nonzero,
+        and for a < b the orthomodular law gives b = a ∨ (a⊥∧b), so a⊥∧b = 0
+        would make b = a.
+        """
         members = set(seed)
         if not members:
             raise ZeroGenerated("empty generating set")
         if self.zero in members:
             raise ZeroGenerated("generating set contains 0", witness=(self.label(self.zero),))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(combinations(sorted(members), 2)):
-                for x in (self.join(a, b),):
-                    if x not in members:
-                        members.add(x)
-                        changed = True
-                for lo, hi in ((a, b), (b, a)):
-                    if self.leq(lo, hi) and lo != hi:
-                        r = self.meet(self._ortho[lo], hi)
-                        if r not in members:
-                            if r == self.zero:
-                                raise ZeroGenerated(
-                                    "closure produced 0",
-                                    witness=(self.label(lo), self.label(hi)),
-                                )
-                            members.add(r)
-                            changed = True
+        while missing := {x for *_, x in self._cs_gaps(frozenset(members))}:
+            members |= missing
         return frozenset(members)
 
     # -- subalgebra helper --------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     NotAPartition,
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
+from .rationals import parse_rational
 from .smap import SMap
 from .states import ConditionalState
 
@@ -56,7 +57,7 @@ def make_observable(
 ) -> Observable:
     """Validate a (value, event) assignment: distinct values, events mutually
     orthogonal and joining to 1."""
-    pairs = [(Fraction(v), e) for v, e in pairs]
+    pairs = [(parse_rational(v), e) for v, e in pairs]
     values = [v for v, _ in pairs]
     if len(set(values)) != len(values):
         dup = next(v for v in values if values.count(v) > 1)

@@ -12,7 +12,7 @@ A literal is refused before any ``Fraction`` is built if it has more than
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import NoExactDecimal, ParseError
 
 MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
@@ -91,4 +91,4 @@ def format_rational(q: Fraction, decimal: bool = False, approx: bool = False) ->
         return f"{sign}{text[:-k]}.{text[-k:]}"
     if approx:
         return repr(float(q))
-    raise ValueError(f"{q} has no exact decimal form (use p/q or allow approximation)")
+    raise NoExactDecimal(f"{q} has no exact decimal form (use p/q or allow approximation)")

@@ -30,6 +30,7 @@ from .errors import (
     ZeroMassCondition,
 )
 from .lattice import OrthomodularLattice
+from .rationals import parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -40,6 +41,8 @@ MAX_SCALE_BITS = 1024
 
 
 def _fraction(v) -> Fraction:
+    # Without parse_rational's size bound: a conditional-state entry is a
+    # quotient p(a, b)/p(b, b), whose "p/q" form can pass MAX_DIGITS.
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
@@ -97,9 +100,9 @@ def validate_state(L: OrthomodularLattice, values) -> State:
     The checks run on the values scaled to integers.
     """
     if isinstance(values, Mapping):
-        vals = tuple(_fraction(values[a]) for a in L.elements)
+        vals = tuple(parse_rational(values[a]) for a in L.elements)
     else:
-        vals = tuple(map(_fraction, values))
+        vals = tuple(map(parse_rational, values))
     if len(vals) != len(L):
         raise NotNormalized("state table is not total")
     (ints,), top = _scale_to_integers((vals,))
@@ -171,14 +174,15 @@ def validate_conditional_state(
     through by D_j·D₁·D₂, is the one list comparison
     D₁·D₂·R_j = (R_j[a₁]·D₂)·R_{a₁} + (R_j[a₂]·D₁)·R_{a₂}.
 
-    Only a failing stage is walked again, in the order below, to name its
-    first failure: C1 and C2 section by section over cs in the iteration
-    order of cs (each section through ``validate_state``), and C3 by b in
-    ``Fraction``s on the failing pair alone.  Pairs are taken
-    from ``L.orthogonal_pairs`` in its lexicographic order, keeping those
-    with both ends in cs, with b innermost, so the first failure reported is
-    the first one an exhaustive walk over families of increasing size would
-    meet.
+    Only a failing C1/C2 stage is walked again, section by section over cs
+    in the iteration order of cs (each section through ``validate_state``),
+    to name its first failure.  C3 at index b is the ``Fraction`` equation
+    at b times D_j·D₁·D₂ > 0, so the first index where the lists differ is
+    the first failing b; only its message is computed in ``Fraction``s.
+    Pairs are taken from ``L.orthogonal_pairs`` in its lexicographic order,
+    keeping those with both ends in cs, with b innermost, so the first
+    failure reported is the first one an exhaustive walk over families of
+    increasing size would meet.
     """
     L.check_conditional_system(cs)
     tab, sections, R, D = {}, {}, {}, {}
@@ -215,24 +219,18 @@ def validate_conditional_state(
             continue
         d1, d2, r = D[a1], D[a2], R[j]
         w1, w2, d12 = r[a1] * d2, r[a2] * d1, d1 * d2
-        if [d12 * x for x in r] == [w1 * x + w2 * y for x, y in zip(R[a1], R[a2])]:
-            continue
-        _check_c3_pair(L, tab, a1, a2, j)
-    return ConditionalState(L, cs, tab)
-
-
-def _check_c3_pair(L: OrthomodularLattice, tab, a1: int, a2: int, top: int) -> None:
-    """Raise C3Violation at the first b where the pair (a1, a2) breaks C3."""
-    w1, w2 = tab[(a1, top)], tab[(a2, top)]
-    for b in L.elements:
-        mix = w1 * tab[(b, a1)] + w2 * tab[(b, a2)]
-        if tab[(b, top)] != mix:
+        lhs = [d12 * x for x in r]
+        rhs = [w1 * x + w2 * y for x, y in zip(R[a1], R[a2])]
+        if lhs != rhs:
+            b = next(b for b, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            mix = tab[(a1, j)] * tab[(b, a1)] + tab[(a2, j)] * tab[(b, a2)]
             fam = (L.label(a1), L.label(a2))
             raise C3Violation(
-                f"f({L.label(b)}, {L.label(top)}) = {tab[(b, top)]} but the "
+                f"f({L.label(b)}, {L.label(j)}) = {tab[(b, j)]} but the "
                 f"mixture over {fam} gives {mix}",
                 witness=(L.label(b), fam),
             )
+    return ConditionalState(L, cs, tab)
 
 
 def build_conditional_state(
@@ -263,7 +261,7 @@ def build_conditional_state(
             raise AlphaNotConcentrated(
                 f"alpha({L.label(a)}) = {alpha(a)} ≠ 1", witness=(L.label(a),)
             )
-    weights = [Fraction(w) for w in k]
+    weights = [parse_rational(w) for w in k]
     if any(not (ZERO <= w <= ONE) for w in weights) or sum(weights) != 1:
         raise WeightsNotNormalized(f"weights {weights} are not a convex combination")
 

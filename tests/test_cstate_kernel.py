@@ -136,7 +136,6 @@ def test_valid_tables_stay_on_integers(kind, n, monkeypatch):
         raise AssertionError("a Fraction walk ran on a valid table")
 
     monkeypatch.setattr(states, "validate_state", unexpected)
-    monkeypatch.setattr(states, "_check_c3_pair", unexpected)
     for f in tables:
         assert q.validate_conditional_state(L, f.conditions, f.table).table == f.table
 

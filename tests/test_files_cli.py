@@ -1,5 +1,7 @@
 import json
 import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -11,6 +13,7 @@ from omlprob.errors import ParseError, SchemaError
 from conftest import DATA
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+README = DATA.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -85,6 +88,87 @@ class TestInternalError:
         assert captured.out == ""
         assert "internal error: RuntimeError: boom" in captured.err
         assert "Traceback" in captured.err
+
+
+class TestGlobalFlags:
+    @pytest.mark.parametrize("flags", [("--format", "json"), ("--decimal",)])
+    def test_flags_before_the_subcommand_match_after(self, capsys, flags):
+        cmd = ["indep", str(DATA / "two_blocks_smap.json"), "--pair", "a", "b"]
+        before = run(capsys, *flags, *cmd)
+        after = run(capsys, *cmd, *flags)
+        assert before == after
+        code, out = before
+        assert code == 0
+        if flags[0] == "--format":
+            assert json.loads(out)["values"]["p(a,b)"] == "3/25"
+        else:
+            assert "p(a,b) = 0.12" in out
+
+
+class TestDecimalOutput:
+    CONDEXP = ("condexp", "--f", str(DATA / "two_blocks_f.json"),
+               "--observable", str(DATA / "obs_y.json"), "--atom", "a")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonterminating_decimal_exits_2(self, capsys, fmt):
+        code = main(["--decimal", "--format", fmt, *self.CONDEXP])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_IO == 2
+        assert captured.out == ""
+        assert "49/30 has no exact decimal form" in captured.err
+        assert "Traceback" not in captured.err
+        if fmt == "json":
+            assert json.loads(captured.err)["status"] == "error"
+
+    def test_approx_and_exact_decimals_exit_0(self, capsys):
+        code, out = run(capsys, "--decimal", "--approx", *self.CONDEXP)
+        assert code == 0 and "1.8 vs 1.8" in out
+        code, out = run(capsys, "--decimal", "indep", str(DATA / "two_blocks_smap.json"), "--scan")
+        assert code == 0
+
+
+def _broken_document(kind):
+    """A data file with one label (or the type) replaced by a list."""
+    name = {"element": "obs_y.json", "type": "two_blocks_smap.json"}.get(kind, "two_blocks_f.json")
+    doc = json.loads((DATA / name).read_text())
+    doc["lattice"] = str(DATA / "mo2_lattice.json")
+    if kind == "conditions":
+        doc["conditions"].append(["a"])
+    elif kind == "table":
+        doc["table"][2][1] = {"label": "1"}
+    elif kind == "element":
+        doc["assignment"][0]["element"] = ["b"]
+    else:
+        doc["type"] = ["smap"]
+    return doc
+
+
+@pytest.mark.parametrize("kind", ["conditions", "table", "element", "type"])
+def test_unhashable_label_exits_2(capsys, tmp_path, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_broken_document(kind)))
+    if kind == "element":
+        argv = ["condexp", "--f", str(DATA / "two_blocks_f.json"),
+                "--observable", str(path), "--atom", "a"]
+    else:
+        argv = ["validate", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "status: error" in err
+    assert "Traceback" not in err
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    """Every command of the README's CLI block exits 0, in order, with its
+    /tmp paths moved under a fresh directory."""
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("omlprob ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(DATA.parent)
+    for argv in commands:
+        argv = [a.replace("/tmp", str(tmp_path)) for a in argv]
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 class TestValidateCommand:

@@ -1,18 +1,21 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import omlprob as q
 from omlprob.catalog import mo_raw, o6_raw
 from omlprob.errors import (
     LatticeInputError,
+    NotAConditionalSystem,
     NotALattice,
     NotAnOrtholattice,
     NotAPoset,
     NotOrthomodular,
     ZeroGenerated,
 )
+
+CS_KINDS = {kind: q.build_catalog(*kind) for kind in (("boolean", 3), ("mo", 3))}
 
 
 def brute_meet(L, a, b):
@@ -258,6 +261,31 @@ class TestConditionalSystems:
         if not seed:
             seed = {L.one}
         assert L.generate_cs(seed) == brute_cs_closure(L, seed)
+
+    @pytest.mark.parametrize("members, message, witness", [
+        (("0", "1"), "conditional system contains 0", ("0",)),
+        (("a", "b"), "not join-closed: a ∨ b missing", ("a", "b")),
+        (("a", "1"), "not closed under relative complement of a in 1", ("a", "1")),
+    ])
+    def test_check_names_the_first_missing_element(self, members, message, witness):
+        L = q.build_catalog("boolean", 2)
+        with pytest.raises(NotAConditionalSystem) as exc:
+            L.check_conditional_system(frozenset(map(L.id_of, members)))
+        assert str(exc.value) == message
+        assert exc.value.witness == witness
+
+    @given(st.sampled_from(sorted(CS_KINDS)), st.integers(0, 2**8 - 1))
+    def test_check_accepts_exactly_the_closed_sets(self, kind, bits):
+        L = CS_KINDS[kind]
+        members = frozenset(x for x in L.elements if x != L.zero and bits >> x & 1)
+        assume(members)
+        try:
+            L.check_conditional_system(members)
+        except NotAConditionalSystem:
+            closed = False
+        else:
+            closed = True
+        assert closed == (L.generate_cs(members) == members)
 
 
 @pytest.mark.parametrize("kind,n", [("boolean", 1), ("boolean", 2), ("boolean", 4),

@@ -3,7 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 import omlprob as q
-from omlprob.errors import S1Violation, S2Violation, S3Violation, SupportNotConditionalSystem
+from omlprob.errors import (
+    DomainTooSmall,
+    S1Violation,
+    S2Violation,
+    S3Violation,
+    SupportNotConditionalSystem,
+)
 from omlprob.smap import complete_smap_table
 
 
@@ -127,6 +133,31 @@ class TestConversions:
                     assert f2(x, c) == f(x, c)
             p2 = q.conditional_to_smap(f2)
             assert p2.table == p.table
+
+
+    def test_conditional_state_without_one_has_no_smap(self):
+        L = q.build_catalog("boolean", 2)
+        a = L.id_of("a")
+        f = q.validate_conditional_state(
+            L, frozenset({a}), {(x, a): F(L.leq(a, x)) for x in L.elements}
+        )
+        with pytest.raises(DomainTooSmall) as exc:
+            q.conditional_to_smap(f)
+        assert str(exc.value) == "1 is not a condition"
+        assert exc.value.witness == ("1",)
+
+    def test_nonzero_marginal_needs_a_condition(self):
+        L = q.build_catalog("boolean", 2)
+        m = {L.zero: F(0), L.id_of("a"): F(1, 2), L.id_of("b"): F(1, 2), L.one: F(1)}
+        f = q.validate_conditional_state(
+            L, frozenset({L.one}), {(x, L.one): m[x] for x in L.elements}
+        )
+        with pytest.raises(DomainTooSmall) as exc:
+            q.conditional_to_smap(f)
+        assert str(exc.value) == (
+            "conditions missing for nonzero-marginal elements ['a', 'b']"
+        )
+        assert exc.value.witness == ("a", "b")
 
 
 class TestMeasurementConsequences:

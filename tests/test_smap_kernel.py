@@ -5,6 +5,7 @@ from fractions import Fraction as F
 from functools import lru_cache
 from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import omlprob as q
@@ -116,6 +117,27 @@ def test_integer_kernel_agrees_with_fraction_oracle(kind, form, perturbation, de
     if p is not None:
         assert p.table == tuple(tuple(F(x) for x in row) for row in rows)
         assert all(type(x) is F for row in p.table for x in row)
+
+
+@pytest.mark.parametrize("entries, first", [
+    # p(b+c, a) comes before p(b, c) in pair order, after it in entry order.
+    ((("b+c", "a"), ("b", "c")), ("b", "c")),
+    ((("b+c", "a"),), ("b+c", "a")),
+    ((("b", "c"), ("0", "0")), ("0", "0")),
+    ((("0", "0"),), ("0", "0")),
+])
+def test_s2_reports_the_least_failing_entry(entries, first):
+    """Of several nonzero orthogonal entries, s2 names the least (a, b) by
+    id, reading both directions of every ⊥ pair and p(0, 0)."""
+    L = _lattice("boolean", 3)
+    rows = [list(row) for row in _random_rows("boolean", 3, 0)]
+    for x, y in entries:
+        assert L.is_orthogonal(L.id_of(x), L.id_of(y))
+        rows[L.id_of(x)][L.id_of(y)] = F(1, 4)
+    p, got = _validate(L, rows)
+    assert_same_failure(got, smap_exhaustive(L, rows))
+    assert isinstance(got, S2Violation)
+    assert got.witness == first
 
 
 def test_catalog_tables_are_checked_on_integers():
