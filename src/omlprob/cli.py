@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 from . import files
 from .catalog import KINDS, build_catalog, random_conditional_state, random_smap, raw_structure
@@ -22,11 +21,13 @@ from .errors import (
     C1Violation,
     C2Violation,
     C3Violation,
+    DuplicateValue,
     LatticeInputError,
     NoExactDecimal,
     NotAdditive,
     NotALattice,
     NotAnOrtholattice,
+    NotAPartition,
     NotAPoset,
     NotNormalized,
     NotOrthomodular,
@@ -57,11 +58,11 @@ EXIT_IO = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
 class Report:
-    status: str = "ok"
-    checks: list = field(default_factory=list)
-    values: dict = field(default_factory=dict)
+    def __init__(self, status: str = "ok", values: dict | None = None):
+        self.status = status
+        self.checks: list = []
+        self.values = {} if values is None else values
 
     def check(self, name: str, passed, witness=None) -> None:
         self.checks.append({"name": name, "passed": passed, "witness": witness})
@@ -132,7 +133,7 @@ _STAGES_BY_TYPE = {
     "state": _STATE_STAGES,
     "conditional_state": _CS_STAGES,
     "smap": _SMAP_STAGES,
-    "observable": [("partition", OmlError)],
+    "observable": [("partition", (NotAPartition, DuplicateValue))],
 }
 
 

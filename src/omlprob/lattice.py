@@ -17,8 +17,7 @@ is immutable, so concurrent reads are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     LatticeInputError,
@@ -39,8 +38,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class BooleanSubalgebra:
+class BooleanSubalgebra(NamedTuple):
     """A Boolean subalgebra of an OML, given by its members and atoms."""
 
     lattice: "OrthomodularLattice"

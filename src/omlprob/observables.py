@@ -9,10 +9,9 @@ two orders p_{x,y} and p_{y,x} may genuinely differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AtomOutsideCS,
@@ -27,8 +26,7 @@ from .smap import SMap
 from .states import ConditionalState
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(NamedTuple):
     """A finite-valued observable: sorted spectrum plus value -> event map."""
 
     lattice: OrthomodularLattice
@@ -41,6 +39,7 @@ class Observable:
 
     def event_below(self, r: Fraction) -> int:
         """The event of an outcome strictly less than r (half line (-∞, r))."""
+        r = parse_rational(r)
         return self.event(v for v in self.spectrum if v < r)
 
     def range_subalgebra(self) -> BooleanSubalgebra:
@@ -77,8 +76,7 @@ def make_observable(
     return Observable(L, tuple(sorted(values)), assignment)
 
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(NamedTuple):
     """p_{x,y}(E, F) = p(x(E), y(F)) over all subsets of both spectra."""
 
     x: Observable
@@ -101,7 +99,7 @@ def distribution_function(
     p: SMap, x: Observable, y: Observable, r: Fraction, s: Fraction
 ) -> Fraction:
     """F_{x,y}(r, s) = p(x(-∞, r), y(-∞, s)) with strict half-open cutoffs."""
-    return p(x.event_below(Fraction(r)), y.event_below(Fraction(s)))
+    return p(x.event_below(r), y.event_below(s))
 
 
 def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:

@@ -8,10 +8,9 @@ it may be asymmetric, which is where the one-way independence witnessed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     DomainTooSmall,
@@ -35,8 +34,7 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
-class SMap:
+class SMap(NamedTuple):
     """A validated two-argument measurement probability table."""
 
     lattice: OrthomodularLattice

@@ -9,12 +9,11 @@ reports and returned objects hold the ``Fraction`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add, itemgetter
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     AlphaNotConcentrated,
@@ -25,6 +24,7 @@ from .errors import (
     NotAdditive,
     NotNormalized,
     NotOrthogonalFamily,
+    ParseError,
     PreconditionFCA,
     WeightsNotNormalized,
     ZeroMassCondition,
@@ -43,7 +43,11 @@ MAX_SCALE_BITS = 1024
 def _fraction(v) -> Fraction:
     # Without parse_rational's size bound: a conditional-state entry is a
     # quotient p(a, b)/p(b, b), whose "p/q" form can pass MAX_DIGITS.
-    return v if isinstance(v, Fraction) else Fraction(v)
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, (bool, float)):
+        raise ParseError(f"not an exact rational: {v!r}")
+    return Fraction(v)
 
 
 def _scale_to_integers(rows):
@@ -82,8 +86,7 @@ def _first_nonadditive(pairs, T):
     return None
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """A normalized, orthogonally additive [0,1]-valued map on the lattice."""
 
     lattice: OrthomodularLattice
@@ -124,8 +127,7 @@ def validate_state(L: OrthomodularLattice, values) -> State:
     return State(L, vals)
 
 
-@dataclass(frozen=True)
-class ConditionalState:
+class ConditionalState(NamedTuple):
     """A two-place map f(b, a): probability of b given condition a.
 
     The condition ranges over a conditional system; each section f(., a) is a

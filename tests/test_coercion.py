@@ -1,8 +1,8 @@
 """The validators and builders read their numbers through ``parse_rational``.
 
 ``validate_conditional_state`` is the exception: its entries are quotients
-whose "p/q" form may pass the literal-size bound, so only its exact forms are
-checked here.
+whose "p/q" form may pass the literal-size bound, so it refuses only ``bool``
+and ``float`` entries, not long literals.
 """
 
 from fractions import Fraction as F
@@ -66,3 +66,9 @@ def test_exact_forms_agree(mo2, name):
 def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
     with pytest.raises(ParseError):
         _entry_points(mo2)[name](bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+def test_conditional_state_refuses_inexact_inputs(mo2, bad):
+    with pytest.raises(ParseError):
+        _entry_points(mo2)["validate_conditional_state"](bad)

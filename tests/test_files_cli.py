@@ -241,6 +241,27 @@ class TestValidateCommand:
         assert code == 1
         assert "FAIL p.json:s1  (table missing entry p(a, b))" in out
 
+    @staticmethod
+    def _obs_x_with(tmp_path, i, element):
+        """obs_x.json with the element of assignment i replaced; its path."""
+        doc = json.loads((DATA / "obs_x.json").read_text())
+        doc["lattice"] = str(DATA / "mo2_lattice.json")
+        doc["assignment"][i]["element"] = element
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_observable_label_error_exits_2(self, capsys, tmp_path):
+        assert main(["validate", self._obs_x_with(tmp_path, 0, "zz")]) == 2
+        captured = capsys.readouterr()
+        assert "status: error" in captured.err and "'zz'" in captured.err
+        assert "FAIL" not in captured.out
+
+    def test_non_orthogonal_observable_fails_partition(self, capsys, tmp_path):
+        code, out = run(capsys, "validate", self._obs_x_with(tmp_path, 1, "b"))
+        assert code == 1
+        assert "FAIL obs.json:partition  (events for values 1 and 2 are not orthogonal)" in out
+
     def test_corrupted_conditional_state(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_f.json").read_text())
         doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import omlprob as q
-from omlprob.errors import AtomOutsideCS, DuplicateValue, NoSolution, NotAPartition
+from omlprob.errors import AtomOutsideCS, DuplicateValue, NoSolution, NotAPartition, ParseError
 
 
 @pytest.fixture
@@ -105,6 +105,18 @@ class TestDistributionFunction:
                 for s in grid
             ]
             assert values == sorted(values)
+
+    def test_cutoffs_are_read_exactly(self, example_smap, mo2):
+        x = q.make_observable(mo2, [(F(1, 10), mo2.id_of("a")), (2, mo2.id_of("a'"))])
+        assert q.distribution_function(example_smap, x, x, F(1, 10), 3) == 0
+        assert q.distribution_function(example_smap, x, x, "1/10", "3") == 0
+        assert x.event_below("1/10") == mo2.zero
+        want = q.distribution_function(example_smap, x, x, F(2), F(3))
+        assert q.distribution_function(example_smap, x, x, 2, 3) == want
+        with pytest.raises(ParseError):
+            q.distribution_function(example_smap, x, x, 0.1, 3)
+        with pytest.raises(ParseError):
+            x.event_below(0.1)
 
 
 class TestExpectation:
