@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import LatticeInputError
-from .lattice import OrthomodularLattice, build_lattice
+from .lattice import MAX_ELEMENTS, OrthomodularLattice, build_lattice
 from .smap import SMap, conditional_to_smap
 from .states import ConditionalState, State, validate_conditional_state, validate_state
 
@@ -83,6 +83,8 @@ def o6_raw() -> dict:
 
 def raw_structure(kind: str, n: int = 1) -> dict:
     """Raw lattice data for a catalog kind; o6 is only available this way."""
+    if {"boolean": 2 ** min(n, 64), "mo": 2 * n + 2}.get(kind, 0) > MAX_ELEMENTS:
+        raise LatticeInputError(f"{kind}({n}) has more than MAX_ELEMENTS = {MAX_ELEMENTS} elements")
     if kind == "boolean":
         return boolean_raw(n)
     if kind == "mo":

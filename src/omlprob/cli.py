@@ -39,7 +39,7 @@ from .errors import (
     SchemaError,
 )
 from .lattice import OrthomodularLattice
-from .observables import conditional_expectation, expectation
+from .observables import _checked_members, conditional_expectation, expectation
 from .rationals import format_rational
 from .smap import (
     SMap,
@@ -48,7 +48,6 @@ from .smap import (
     scan_asymmetric_pairs,
     smap_to_conditional,
 )
-from .states import ConditionalState
 
 SCHEMA_VERSION = 1
 
@@ -139,7 +138,7 @@ _STAGES_BY_TYPE = {
 
 def _load_context_lattice(args) -> OrthomodularLattice | None:
     if getattr(args, "lattice", None):
-        return files.load_lattice(files.load_document(args.lattice))
+        return files.load_typed(files.load_document(args.lattice), kinds=("lattice",))
     return None
 
 
@@ -160,39 +159,25 @@ def cmd_convert(args, fmt_value) -> tuple[Report, int]:
     report = Report()
     L = _load_context_lattice(args)
     doc = files.load_document(args.path)
-    kind = files.document_type(doc)
     ref = doc.get("lattice") if isinstance(doc.get("lattice"), str) else None
-    if kind == "smap":
-        p = files.load_smap(doc, L)
-        f = smap_to_conditional(p)
-        out = files.conditional_state_document(f, ref)
+    obj = files.load_typed(doc, L, ("smap", "conditional_state"))
+    if isinstance(obj, SMap):
+        out = files.conditional_state_document(smap_to_conditional(obj), ref)
         report.check("convert:smap->conditional_state", True)
-    elif kind == "conditional_state":
-        f = files.load_conditional_state(doc, L)
-        p = conditional_to_smap(f)
-        out = files.smap_document(p, ref)
-        report.check("convert:conditional_state->smap", True)
     else:
-        raise SchemaError(f"cannot convert a {kind!r} document")
+        out = files.smap_document(conditional_to_smap(obj), ref)
+        report.check("convert:conditional_state->smap", True)
     files.write_document(args.output, out)
     report.values["output"] = args.output
     return report, EXIT_OK
 
 
-def _load_smap_like(doc, L) -> SMap:
-    kind = files.document_type(doc)
-    if kind == "smap":
-        return files.load_smap(doc, L)
-    if kind == "conditional_state":
-        return conditional_to_smap(files.load_conditional_state(doc, L))
-    raise SchemaError(f"expected an s-map (or conditional state) file, got {kind!r}")
-
-
 def cmd_indep(args, fmt_value) -> tuple[Report, int]:
     report = Report()
     L = _load_context_lattice(args)
-    doc = files.load_document(args.path)
-    p = _load_smap_like(doc, L)
+    p = files.load_typed(files.load_document(args.path), L, ("smap", "conditional_state"))
+    if not isinstance(p, SMap):
+        p = conditional_to_smap(p)
     L = p.lattice
     if args.scan:
         pairs = scan_asymmetric_pairs(p)
@@ -212,18 +197,15 @@ def cmd_indep(args, fmt_value) -> tuple[Report, int]:
 def cmd_condexp(args, fmt_value) -> tuple[Report, int]:
     report = Report()
     L = _load_context_lattice(args)
-    fdoc = files.load_document(args.f)
-    f = files.load_conditional_state(fdoc, L)
+    f = files.load_typed(files.load_document(args.f), L, ("conditional_state",))
     L = f.lattice
-    x = files.load_observable(files.load_document(args.observable), L)
+    x = files.load_typed(files.load_document(args.observable), L, ("observable",))
     B = L.boolean_subalgebra(L.id_of(args.atom))
     z = conditional_expectation(f, x, B)
     report.values["z"] = [
         [fmt_value(v), L.label(z.assignment[v])] for v in z.spectrum
     ]
-    for b in sorted(B.members):
-        if b == L.zero or b not in f.conditions:
-            continue
+    for b in _checked_members(f, B):
         lhs, rhs = expectation(f, x, b), expectation(f, z, b)
         report.check(
             f"condexp:f(x,{L.label(b)})=f(z,{L.label(b)})",
@@ -281,27 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS default keeps the subparser from clobbering a value given
     # up front.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default=argparse.SUPPRESS,
-        help="report format (default: text)",
-    )
-    common.add_argument(
-        "--decimal",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="print rationals as decimals",
-    )
-    common.add_argument(
-        "--approx",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="allow approximate decimals for non-terminating rationals",
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--decimal", action="store_true")
-    parser.add_argument("--approx", action="store_true")
+    for flag, text, kw in (
+        ("--format", "report format (default: text)",
+         {"choices": ("text", "json"), "default": "text"}),
+        ("--decimal", "print rationals as decimals", {"action": "store_true"}),
+        ("--approx", "allow approximate decimals for non-terminating rationals",
+         {"action": "store_true"}),
+    ):
+        parser.add_argument(flag, **kw)
+        common.add_argument(flag, **{**kw, "default": argparse.SUPPRESS}, help=text)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", help="check files against their axioms", parents=[common])

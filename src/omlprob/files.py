@@ -3,9 +3,10 @@
 All rationals in files are strings ("3/25", "0.12") or integers; decimals
 are parsed exactly as fractions over powers of ten.  Every document may
 carry a "type" field ("lattice", "state", "conditional_state", "smap",
-"observable"); table documents may name their lattice via a "lattice" field
-holding either an inline lattice object or a path relative to the document.
-Unknown fields are rejected.
+"observable"), which must name the kind its reader expects; an untyped
+document's kind is inferred from its fields (``_KINDS``).  Table documents
+may name their lattice via a "lattice" field holding either an inline lattice
+object or a path relative to the document.  Unknown fields are rejected.
 """
 
 from __future__ import annotations
@@ -22,12 +23,15 @@ from .rationals import format_rational, parse_rational
 from .smap import SMap, complete_smap_table, validate_smap
 from .states import ConditionalState, State, validate_conditional_state, validate_state
 
-_FIELDS = {
-    "lattice": {"type", "labels", "leq", "ortho", "zero", "one"},
-    "state": {"type", "lattice", "values"},
-    "conditional_state": {"type", "lattice", "conditions", "table"},
-    "smap": {"type", "lattice", "table"},
-    "observable": {"type", "lattice", "assignment"},
+# kind -> (the field that marks an untyped document of the kind, the fields
+# it allows besides "type"), in inference order: a conditional state also has
+# a "table", so it comes before the s-map.
+_KINDS = {
+    "lattice": ("labels", {"labels", "leq", "ortho", "zero", "one"}),
+    "state": ("values", {"lattice", "values"}),
+    "conditional_state": ("conditions", {"lattice", "conditions", "table"}),
+    "observable": ("assignment", {"lattice", "assignment"}),
+    "smap": ("table", {"lattice", "table"}),
 }
 
 
@@ -57,26 +61,41 @@ def document_type(doc: Mapping) -> str:
     """The declared or inferred document type."""
     if "type" in doc:
         kind = doc["type"]
-        if not isinstance(kind, str) or kind not in _FIELDS:
+        if not isinstance(kind, str) or kind not in _KINDS:
             raise SchemaError(f"unknown document type {kind!r}")
         return kind
-    if "labels" in doc:
-        return "lattice"
-    if "values" in doc:
-        return "state"
-    if "conditions" in doc:
-        return "conditional_state"
-    if "assignment" in doc:
-        return "observable"
-    if "table" in doc:
-        return "smap"
+    for kind, (marker, _) in _KINDS.items():
+        if marker in doc:
+            return kind
     raise SchemaError("cannot infer document type")
 
 
-def _check_fields(doc: Mapping, kind: str) -> None:
-    unknown = set(doc) - _FIELDS[kind] - {"__path__"}
+def _expected(kinds, kind) -> SchemaError:
+    article = "an" if kinds[0][0] in "aeiou" else "a"
+    return SchemaError(f"expected {article} {' or '.join(kinds)} document, got {kind!r}")
+
+
+def _open(doc: Mapping, kind: str, L: OrthomodularLattice | None = None):
+    """Check that a declared "type" is ``kind`` and every field one it allows.
+
+    Returns the lattice of a table document: ``L`` if given, else the one its
+    "lattice" field holds inline or names by a path relative to the document.
+    """
+    if doc.get("type", kind) != kind:
+        raise _expected((kind,), doc["type"])
+    fields = _KINDS[kind][1]
+    unknown = set(doc) - fields - {"type", "__path__"}
     if unknown:
         raise SchemaError(f"unknown fields for {kind}: {sorted(unknown)}")
+    if L is not None or "lattice" not in fields:
+        return L
+    ref = doc.get("lattice")
+    if isinstance(ref, dict):
+        return load_lattice(ref)
+    if isinstance(ref, str):
+        base = os.path.dirname(doc.get("__path__", "."))
+        return load_lattice(load_document(os.path.join(base, ref)))
+    raise SchemaError("no lattice given and the document does not reference one")
 
 
 def _pairs(doc, field):
@@ -90,7 +109,7 @@ def _pairs(doc, field):
 
 
 def load_lattice(doc: Mapping) -> OrthomodularLattice:
-    _check_fields(doc, "lattice")
+    _open(doc, "lattice")
     labels = doc.get("labels")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise SchemaError("'labels' must be a list of strings")
@@ -103,22 +122,8 @@ def load_lattice(doc: Mapping) -> OrthomodularLattice:
     return L
 
 
-def resolve_lattice(doc: Mapping, L: OrthomodularLattice | None) -> OrthomodularLattice:
-    """Use the given lattice, or load the one the document references."""
-    if L is not None:
-        return L
-    ref = doc.get("lattice")
-    if isinstance(ref, dict):
-        return load_lattice(ref)
-    if isinstance(ref, str):
-        base = os.path.dirname(doc.get("__path__", "."))
-        return load_lattice(load_document(os.path.join(base, ref)))
-    raise SchemaError("no lattice given and the document does not reference one")
-
-
 def load_state(doc: Mapping, L: OrthomodularLattice | None = None) -> State:
-    _check_fields(doc, "state")
-    L = resolve_lattice(doc, L)
+    L = _open(doc, "state", L)
     raw = doc.get("values")
     if not isinstance(raw, dict):
         raise SchemaError("'values' must be an object keyed by element label")
@@ -131,8 +136,7 @@ def load_state(doc: Mapping, L: OrthomodularLattice | None = None) -> State:
 def load_conditional_state(
     doc: Mapping, L: OrthomodularLattice | None = None
 ) -> ConditionalState:
-    _check_fields(doc, "conditional_state")
-    L = resolve_lattice(doc, L)
+    L = _open(doc, "conditional_state", L)
     conds = doc.get("conditions")
     if not isinstance(conds, list):
         raise SchemaError("'conditions' must be a list of element labels")
@@ -153,8 +157,7 @@ def load_conditional_state(
 
 
 def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
-    _check_fields(doc, "smap")
-    L = resolve_lattice(doc, L)
+    L = _open(doc, "smap", L)
     raw = doc.get("table")
     if not isinstance(raw, dict) or not all(isinstance(r, dict) for r in raw.values()):
         raise SchemaError("'table' must be an object of row objects keyed by label")
@@ -166,8 +169,7 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
 
 
 def load_observable(doc: Mapping, L: OrthomodularLattice | None = None) -> Observable:
-    _check_fields(doc, "observable")
-    L = resolve_lattice(doc, L)
+    L = _open(doc, "observable", L)
     raw = doc.get("assignment")
     if not isinstance(raw, list) or not all(
         isinstance(e, dict) and set(e) == {"value", "element"} for e in raw
@@ -178,18 +180,23 @@ def load_observable(doc: Mapping, L: OrthomodularLattice | None = None) -> Obser
     )
 
 
-def load_typed(doc: Mapping, L: OrthomodularLattice | None = None):
-    """Dispatch on the document type; returns the validated object."""
+def load_typed(doc: Mapping, L: OrthomodularLattice | None = None, kinds=()):
+    """Dispatch on the document type; returns the validated object.
+
+    A non-empty ``kinds`` lists the kinds the caller accepts; a document of
+    any other kind is refused before anything of it is loaded.
+    """
     kind = document_type(doc)
-    if kind == "lattice":
-        return load_lattice(doc)
-    loader = {
+    if kinds and kind not in kinds:
+        raise _expected(kinds, kind)
+    loaders = {
+        "lattice": lambda doc, L: load_lattice(doc),
         "state": load_state,
         "conditional_state": load_conditional_state,
         "smap": load_smap,
         "observable": load_observable,
-    }[kind]
-    return loader(doc, L)
+    }
+    return loaders[kind](doc, L)
 
 
 # --- writers -----------------------------------------------------------------
@@ -214,51 +221,41 @@ def lattice_document(L: OrthomodularLattice) -> dict:
     }
 
 
+def _document(kind: str, lattice_ref: str | None, **body) -> dict:
+    head = {"type": kind, "lattice": lattice_ref} if lattice_ref else {"type": kind}
+    return head | body
+
+
 def state_document(m: State, lattice_ref: str | None = None) -> dict:
-    doc = {"type": "state"}
-    if lattice_ref:
-        doc["lattice"] = lattice_ref
     L = m.lattice
-    doc["values"] = {L.label(a): format_rational(m(a)) for a in L.elements}
-    return doc
+    values = {L.label(a): format_rational(m(a)) for a in L.elements}
+    return _document("state", lattice_ref, values=values)
 
 
 def conditional_state_document(f: ConditionalState, lattice_ref: str | None = None) -> dict:
-    doc = {"type": "conditional_state"}
-    if lattice_ref:
-        doc["lattice"] = lattice_ref
     L = f.lattice
-    doc["conditions"] = [L.label(a) for a in sorted(f.conditions)]
-    doc["table"] = [
-        [L.label(b), L.label(a), format_rational(f(b, a))]
-        for a in sorted(f.conditions)
-        for b in L.elements
-    ]
-    return doc
+    conds = sorted(f.conditions)
+    table = [[L.label(b), L.label(a), format_rational(f(b, a))] for a in conds for b in L.elements]
+    return _document(
+        "conditional_state", lattice_ref, conditions=[L.label(a) for a in conds], table=table
+    )
 
 
 def smap_document(p: SMap, lattice_ref: str | None = None) -> dict:
-    doc = {"type": "smap"}
-    if lattice_ref:
-        doc["lattice"] = lattice_ref
     L = p.lattice
-    doc["table"] = {
+    table = {
         L.label(a): {L.label(b): format_rational(p(a, b)) for b in L.elements}
         for a in L.elements
     }
-    return doc
+    return _document("smap", lattice_ref, table=table)
 
 
 def observable_document(x: Observable, lattice_ref: str | None = None) -> dict:
-    doc = {"type": "observable"}
-    if lattice_ref:
-        doc["lattice"] = lattice_ref
     L = x.lattice
-    doc["assignment"] = [
-        {"value": format_rational(v), "element": L.label(x.assignment[v])}
-        for v in x.spectrum
+    assignment = [
+        {"value": format_rational(v), "element": L.label(x.assignment[v])} for v in x.spectrum
     ]
-    return doc
+    return _document("observable", lattice_ref, assignment=assignment)
 
 
 def write_document(path: str, doc: dict) -> None:

@@ -211,6 +211,10 @@ class OrthomodularLattice:
         return BooleanSubalgebra(self, mem, atoms)
 
 
+# Bound on the element count; the meet and join tables take n² entries each.
+MAX_ELEMENTS = 1024
+
+
 def build_lattice(
     labels: Sequence[str],
     leq_pairs: Iterable[tuple[str, str]],
@@ -229,6 +233,8 @@ def build_lattice(
         raise LatticeInputError("duplicate labels")
     if n == 0:
         raise LatticeInputError("empty lattice")
+    if n > MAX_ELEMENTS:
+        raise LatticeInputError(f"{n} elements, more than MAX_ELEMENTS = {MAX_ELEMENTS}")
     index = {lab: i for i, lab in enumerate(labels)}
 
     def _id(lab):

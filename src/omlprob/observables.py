@@ -112,6 +112,11 @@ def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
     return sum((r * f(x.assignment[r], b) for r in x.spectrum), Fraction(0))
 
 
+def _checked_members(f: ConditionalState, B: BooleanSubalgebra) -> list[int]:
+    """The nonzero members of B that are conditions of f, ascending."""
+    return [b for b in sorted(B.members) if b != f.lattice.zero and b in f.conditions]
+
+
 def conditional_expectation(
     f: ConditionalState, x: Observable, B: BooleanSubalgebra
 ) -> Observable:
@@ -131,20 +136,18 @@ def conditional_expectation(
             raise AtomOutsideCS(
                 f"atom {L.label(atom)} is not a condition", witness=(L.label(atom),)
             )
+    fx = {b: expectation(f, x, b) for b in _checked_members(f, B)}
     by_value: dict[Fraction, list[int]] = {}
     for atom in B.atoms:
-        s = expectation(f, x, atom)
-        by_value.setdefault(s, []).append(atom)
+        by_value.setdefault(fx[atom], []).append(atom)
     z = make_observable(
         L, [(value, L.join_all(atoms)) for value, atoms in by_value.items()]
     )
-    for b in sorted(B.members):
-        if b == L.zero or b not in f.conditions:
-            continue
-        if expectation(f, x, b) != expectation(f, z, b):
+    for b, lhs in fx.items():
+        rhs = expectation(f, z, b)
+        if lhs != rhs:
             raise NoSolution(
-                f"f(x, {L.label(b)}) = {expectation(f, x, b)} but the candidate "
-                f"gives {expectation(f, z, b)}",
+                f"f(x, {L.label(b)}) = {lhs} but the candidate gives {rhs}",
                 witness=(L.label(b),),
             )
     return z

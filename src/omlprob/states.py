@@ -45,9 +45,12 @@ def _fraction(v) -> Fraction:
     # quotient p(a, b)/p(b, b), whose "p/q" form can pass MAX_DIGITS.
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, (bool, float)):
-        raise ParseError(f"not an exact rational: {v!r}")
-    return Fraction(v)
+    if not isinstance(v, (bool, float)):
+        try:
+            return Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"not an exact rational: {v!r}")
 
 
 def _scale_to_integers(rows):

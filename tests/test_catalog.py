@@ -29,6 +29,15 @@ class TestBuiltins:
         with pytest.raises(LatticeInputError):
             q.build_catalog("projective", 3)
 
+    def test_largest_kinds_within_the_bound(self):
+        assert len(q.catalog.raw_structure("boolean", 10)["labels"]) == q.lattice.MAX_ELEMENTS
+        assert len(q.catalog.raw_structure("mo", 511)["labels"]) == q.lattice.MAX_ELEMENTS
+
+    @pytest.mark.parametrize("kind, n", [("boolean", 11), ("boolean", 10**6), ("mo", 512)])
+    def test_kinds_beyond_the_bound_are_refused(self, kind, n):
+        with pytest.raises(LatticeInputError, match="MAX_ELEMENTS"):
+            q.catalog.raw_structure(kind, n)
+
     def test_block_compatibility_structure(self):
         for n in (2, 3):
             L = q.build_catalog("mo", n)

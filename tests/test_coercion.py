@@ -1,8 +1,8 @@
 """The validators and builders read their numbers through ``parse_rational``.
 
 ``validate_conditional_state`` is the exception: its entries are quotients
-whose "p/q" form may pass the literal-size bound, so it refuses only ``bool``
-and ``float`` entries, not long literals.
+whose "p/q" form may pass the literal-size bound, so it refuses ``bool``,
+``float`` and non-rational entries, not long literals.
 """
 
 from fractions import Fraction as F
@@ -68,7 +68,9 @@ def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
         _entry_points(mo2)[name](bad)
 
 
-@pytest.mark.parametrize("bad", [True, 1.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "bad", [True, 1.0, "zz", "1/0", None], ids=["bool", "float", "junk", "zero-denominator", "none"]
+)
 def test_conditional_state_refuses_inexact_inputs(mo2, bad):
     with pytest.raises(ParseError):
         _entry_points(mo2)["validate_conditional_state"](bad)

@@ -75,6 +75,99 @@ class TestFileLoading:
                 assert f2(f2.lattice.id_of(lab(x)), f2.lattice.id_of(lab(c))) == example_f(x, c)
 
 
+# One valid document of each kind, by file name (the state is written inline).
+KIND_FILES = {
+    "lattice": "mo2_lattice.json",
+    "conditional_state": "two_blocks_f.json",
+    "smap": "two_blocks_smap.json",
+    "observable": "obs_y.json",
+}
+LOADERS = {
+    "lattice": lambda doc, L: files.load_lattice(doc),
+    "state": files.load_state,
+    "conditional_state": files.load_conditional_state,
+    "smap": files.load_smap,
+    "observable": files.load_observable,
+}
+
+
+def _kind_document(kind):
+    if kind == "state":
+        return {"type": "state",
+                "values": {"0": 0, "1": 1, "a": "2/5", "a'": "3/5", "b": "3/10", "b'": "7/10"}}
+    return files.load_document(str(DATA / KIND_FILES[kind]))
+
+
+class TestDocumentKinds:
+    @pytest.mark.parametrize("kind", sorted(LOADERS))
+    def test_loader_refuses_another_declared_kind(self, mo2, kind):
+        doc = _kind_document(kind)
+        LOADERS[kind](doc, mo2)
+        doc["type"] = "smap" if kind == "lattice" else "lattice"
+        with pytest.raises(SchemaError, match=f"expected an? {kind} document, got '{doc['type']}'"):
+            LOADERS[kind](doc, mo2)
+
+    def test_condexp_refuses_conditional_state_declared_as_smap(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_f.json").read_text())
+        doc["type"] = "smap"
+        doc["lattice"] = str(DATA / "mo2_lattice.json")
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        argv = ["condexp", "--f", str(path), "--observable", str(DATA / "obs_y.json"), "--atom", "a"]
+        assert main(argv) == 2
+        assert "expected a conditional_state document, got 'smap'" in capsys.readouterr().err
+
+    def test_lattice_flag_refuses_a_table_document(self, capsys):
+        code = main(["validate", str(DATA / "two_blocks_f.json"),
+                     "--lattice", str(DATA / "two_blocks_smap.json")])
+        assert code == 2
+        assert "expected a lattice document, got 'smap'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["convert", "indep"])
+    @pytest.mark.parametrize("kind", ["lattice", "observable"])
+    def test_convert_and_indep_refuse_without_loading(self, capsys, monkeypatch, tmp_path,
+                                                       command, kind):
+        def never(*args):
+            raise AssertionError("loaded a document the command does not read")
+
+        for name in ("load_lattice", "load_observable"):
+            monkeypatch.setattr(files, name, never)
+        argv = {"convert": ["-o", str(tmp_path / "out.json")], "indep": ["--scan"]}[command]
+        assert main([command, str(DATA / KIND_FILES[kind]), *argv]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("fields, kind", [
+        ({"conditions", "table"}, "conditional_state"),
+        ({"table"}, "smap"),
+        ({"labels", "table"}, "lattice"),
+        ({"values", "assignment"}, "state"),
+        ({"assignment", "table"}, "observable"),
+    ])
+    def test_untyped_documents_are_inferred_in_order(self, fields, kind):
+        assert files.document_type(dict.fromkeys(fields, [])) == kind
+
+    def test_untyped_document_without_marker_is_refused(self):
+        with pytest.raises(SchemaError, match="cannot infer document type"):
+            files.document_type({"lattice": "mo2_lattice.json", "leq": []})
+
+
+class TestElementBound:
+    def test_oversized_lattice_file_exits_2(self, capsys, tmp_path):
+        labels = [f"e{i}" for i in range(q.lattice.MAX_ELEMENTS + 1)]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"labels": labels, "leq": [], "ortho": []}))
+        assert main(["validate", str(path)]) == 2
+        assert "1025 elements, more than MAX_ELEMENTS = 1024" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, n", [("boolean", 11), ("mo", 512)])
+    def test_gen_beyond_the_bound_exits_2(self, capsys, tmp_path, kind, n):
+        assert main(["gen", "--kind", kind, "--n", str(n), "-o", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("status: error") and "MAX_ELEMENTS = 1024" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestInternalError:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_unexpected_exception_exits_3(self, capsys, monkeypatch, fmt):
