@@ -4,9 +4,9 @@ All rationals in files are strings ("3/25", "0.12") or integers; decimals
 are parsed exactly as fractions over powers of ten.  Every document may
 carry a "type" field ("lattice", "state", "conditional_state", "smap",
 "observable"), which must name the kind its reader expects; an untyped
-document's kind is inferred from its fields (``_KINDS``).  Table documents
-may name their lattice via a "lattice" field holding either an inline lattice
-object or a path relative to the document.  Unknown fields are rejected.
+document's kind is inferred from its fields (``DOCUMENT_KINDS``).  A table
+document may name its lattice in a "lattice" field, inline or as a path
+relative to the document.  Unknown fields are rejected.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ from .smap import SMap, complete_smap_table, validate_smap
 from .states import ConditionalState, State, validate_conditional_state, validate_state
 
 # kind -> (the field that marks an untyped document of the kind, the fields
-# it allows besides "type"), in inference order: a conditional state also has
-# a "table", so it comes before the s-map.
-_KINDS = {
-    "lattice": ("labels", {"labels", "leq", "ortho", "zero", "one"}),
-    "state": ("values", {"lattice", "values"}),
-    "conditional_state": ("conditions", {"lattice", "conditions", "table"}),
-    "observable": ("assignment", {"lattice", "assignment"}),
-    "smap": ("table", {"lattice", "table"}),
+# it allows besides "type", the stages of its checks in order), in inference
+# order: a conditional state also has a "table", so it precedes the s-map.
+DOCUMENT_KINDS = {
+    "lattice": ("labels", {"labels", "leq", "ortho", "zero", "one"},
+                ("poset", "lattice", "ortholattice", "orthomodular")),
+    "state": ("values", {"lattice", "values"}, ("normalized", "additive")),
+    "conditional_state": ("conditions", {"lattice", "conditions", "table"}, ("C1", "C2", "C3")),
+    "observable": ("assignment", {"lattice", "assignment"}, ("partition",)),
+    "smap": ("table", {"lattice", "table"}, ("s1", "s2", "s3")),
 }
 
 
@@ -61,10 +62,10 @@ def document_type(doc: Mapping) -> str:
     """The declared or inferred document type."""
     if "type" in doc:
         kind = doc["type"]
-        if not isinstance(kind, str) or kind not in _KINDS:
+        if not isinstance(kind, str) or kind not in DOCUMENT_KINDS:
             raise SchemaError(f"unknown document type {kind!r}")
         return kind
-    for kind, (marker, _) in _KINDS.items():
+    for kind, (marker, *_) in DOCUMENT_KINDS.items():
         if marker in doc:
             return kind
     raise SchemaError("cannot infer document type")
@@ -83,7 +84,7 @@ def _open(doc: Mapping, kind: str, L: OrthomodularLattice | None = None):
     """
     if doc.get("type", kind) != kind:
         raise _expected((kind,), doc["type"])
-    fields = _KINDS[kind][1]
+    fields = DOCUMENT_KINDS[kind][1]
     unknown = set(doc) - fields - {"type", "__path__"}
     if unknown:
         raise SchemaError(f"unknown fields for {kind}: {sorted(unknown)}")

@@ -41,10 +41,12 @@ MAX_SCALE_BITS = 1024
 
 
 def _fraction(v) -> Fraction:
-    # Without parse_rational's size bound: a conditional-state entry is a
-    # quotient p(a, b)/p(b, b), whose "p/q" form can pass MAX_DIGITS.
+    # Without parse_rational's digit bound, which a quotient p(a, b)/p(b, b)
+    # in "p/q" form can pass; a literal with an exponent is no such quotient.
     if isinstance(v, Fraction):
         return v
+    if isinstance(v, str) and ("e" in v or "E" in v):
+        return parse_rational(v)
     if not isinstance(v, (bool, float)):
         try:
             return Fraction(v)

@@ -2,7 +2,8 @@
 
 ``validate_conditional_state`` is the exception: its entries are quotients
 whose "p/q" form may pass the literal-size bound, so it refuses ``bool``,
-``float`` and non-rational entries, not long literals.
+``float`` and non-rational entries, not long literals.  A literal with an
+exponent is no quotient, so it keeps the exponent bound.
 """
 
 from fractions import Fraction as F
@@ -69,7 +70,9 @@ def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [True, 1.0, "zz", "1/0", None], ids=["bool", "float", "junk", "zero-denominator", "none"]
+    "bad",
+    [True, 1.0, "zz", "1/0", None, "1e1001", "1e5000"],
+    ids=["bool", "float", "junk", "zero-denominator", "none", "exponent", "huge-exponent"],
 )
 def test_conditional_state_refuses_inexact_inputs(mo2, bad):
     with pytest.raises(ParseError):

@@ -6,7 +6,7 @@ import shlex
 import pytest
 
 import omlprob as q
-from omlprob import cli, files
+from omlprob import cli, errors, files
 from omlprob.cli import main
 from omlprob.errors import ParseError, SchemaError
 
@@ -147,6 +147,14 @@ class TestDocumentKinds:
     def test_untyped_documents_are_inferred_in_order(self, fields, kind):
         assert files.document_type(dict.fromkeys(fields, [])) == kind
 
+    def test_kind_stages_are_the_error_stages(self):
+        stages = [kind[2] for kind in files.DOCUMENT_KINDS.values()]
+        assert all(len(set(names)) == len(names) for names in stages)
+        assert {name for names in stages for name in names} == {
+            cls.stage for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.OmlError) and cls.stage
+        }
+
     def test_untyped_document_without_marker_is_refused(self):
         with pytest.raises(SchemaError, match="cannot infer document type"):
             files.document_type({"lattice": "mo2_lattice.json", "leq": []})
@@ -280,6 +288,15 @@ class TestValidateCommand:
         code, out = run(capsys, "validate", str(DATA / "o6_lattice.json"))
         assert code == 1
         assert "orthomodular" in out and "a ≤ b" in out
+
+    def test_lattice_error_of_a_table_is_one_check(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_f.json").read_text())
+        doc["lattice"] = str(DATA / "o6_lattice.json")
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "validate", str(path), "--format", "json")
+        assert code == 1
+        assert [c["name"] for c in json.loads(out)["checks"]] == ["NotOrthomodular"]
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -616,6 +633,15 @@ class TestGenCommand:
         assert (tmp_path / "one" / "mo3_smap.json").read_text() == (
             tmp_path / "two" / "mo3_smap.json"
         ).read_text()
+
+    @pytest.mark.parametrize("kind, emit, message", [
+        ("mo", "lattice,smpa", "unknown --emit items ['smpa']"),
+        ("o6", "lattice,smap", "only its lattice can be emitted"),
+    ], ids=["unknown-item", "o6-table"])
+    def test_refused_emit_writes_nothing(self, capsys, tmp_path, kind, emit, message):
+        assert main(["gen", "--kind", kind, "--emit", emit, "-o", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_o6_emits_raw_lattice_only(self, capsys, tmp_path):
         code, _ = run(capsys, "gen", "--kind", "o6", "-o", str(tmp_path))
