@@ -1,7 +1,8 @@
 """JSON file schemas for lattices, states, s-maps and observables.
 
 All rationals in files are strings ("3/25", "0.12") or integers; decimals
-are parsed exactly as fractions over powers of ten.  Every document may
+are parsed exactly as fractions over powers of ten, each distinct string of
+a table once per document (the memo lives for one load).  Every document may
 carry a "type" field ("lattice", "state", "conditional_state", "smap",
 "observable"), which must name the kind its reader expects; an untyped
 document's kind is inferred from its fields (``DOCUMENT_KINDS``).  A table
@@ -101,12 +102,28 @@ def _open(doc: Mapping, kind: str, L: OrthomodularLattice | None = None):
 
 def _pairs(doc, field):
     raw = doc.get(field)
-    if not isinstance(raw, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(x, str) for x in p)
-        for p in raw
-    ):
-        raise SchemaError(f"{field!r} must be a list of [label, label] pairs")
-    return [tuple(p) for p in raw]
+    if isinstance(raw, list):
+        pairs = [tuple(p) for p in raw if isinstance(p, list) and len(p) == 2
+                 and isinstance(p[0], str) and isinstance(p[1], str)]
+        if len(pairs) == len(raw):
+            return pairs
+    raise SchemaError(f"{field!r} must be a list of [label, label] pairs")
+
+
+def _cell_reader():
+    """``parse_rational`` for the cells of one document, each distinct string
+    parsed once.  Only ``str`` cells are remembered: a bool would hit the
+    entry of an equal int (True == 1), and a list is unhashable."""
+    memo: dict[str, Fraction] = {}
+
+    def read(v):
+        if type(v) is not str:
+            return parse_rational(v)
+        x = memo.get(v)
+        if x is None:
+            x = memo[v] = parse_rational(v)
+        return x
+    return read
 
 
 def load_lattice(doc: Mapping) -> OrthomodularLattice:
@@ -147,9 +164,9 @@ def load_conditional_state(
         isinstance(t, list) and len(t) == 3 for t in raw
     ):
         raise SchemaError("'table' must be a list of [element, condition, value] triples")
-    table = {}
+    table, read = {}, _cell_reader()
     for b, a, v in raw:
-        table[(L.id_of(b), L.id_of(a))] = parse_rational(v)
+        table[(L.id_of(b), L.id_of(a))] = read(v)
     # Rows the state axioms force may be omitted: f(0, a) = 0, f(1, a) = 1.
     for a in cs:
         table.setdefault((L.zero, a), Fraction(0))
@@ -162,10 +179,10 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
     raw = doc.get("table")
     if not isinstance(raw, dict) or not all(isinstance(r, dict) for r in raw.values()):
         raise SchemaError("'table' must be an object of row objects keyed by label")
-    partial = {}
+    partial, read = {}, _cell_reader()
     for rlab, row in raw.items():
         for clab, v in row.items():
-            partial[(L.id_of(rlab), L.id_of(clab))] = parse_rational(v)
+            partial[(L.id_of(rlab), L.id_of(clab))] = read(v)
     return validate_smap(L, complete_smap_table(L, partial))
 
 

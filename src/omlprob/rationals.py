@@ -6,7 +6,8 @@ as fractions over powers of ten ("0.4" -> 2/5).
 
 A literal is refused before any ``Fraction`` is built if it has more than
 ``MAX_DIGITS`` digits or an exponent beyond ±``MAX_EXPONENT``: the ten bytes
-"1e3000000" would otherwise become a three-million-digit integer.
+"1e3000000" would otherwise become a three-million-digit integer.  An ``int``
+is held to the same digit bound.
 """
 
 import re
@@ -18,6 +19,7 @@ MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+_INT_BOUND = 10**MAX_DIGITS
 
 
 def _check_literal_size(text: str) -> None:
@@ -32,12 +34,7 @@ def _check_literal_size(text: str) -> None:
 
 def parse_rational(value) -> Fraction:
     """Parse an int, Fraction, "p/q" string or decimal string exactly."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    # str first: the Fraction test goes through ABCMeta.__instancecheck__.
     if isinstance(value, str):
         _check_literal_size(value)
         try:
@@ -48,6 +45,14 @@ def parse_rational(value) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise ParseError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        if not -_INT_BOUND < value < _INT_BOUND:
+            raise ParseError(f"numeric literal has more than {MAX_DIGITS} digits")
+        return Fraction(value)
     if isinstance(value, float):
         # Floats only appear if a JSON loader was not configured with
         # parse_float=Fraction; refuse rather than guess the intended decimal.

@@ -197,18 +197,19 @@ def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
 
     Each unordered pair is visited once.  Both directions compare with the
     same product p(a, a)·p(b, b), so a pair with p(a, b) = p(b, a) (every
-    compatible pair) cannot be asymmetric and needs no product.
+    compatible pair) cannot be asymmetric and needs no product.  The test runs
+    on P = D·p from ``_scale_to_integers``: P[a][b]·D = P[a][a]·P[b][b].
     """
-    t = p.table
+    t, D = _scale_to_integers(p.table)
     out = []
     for a, row in enumerate(t):
         for b in range(a + 1, len(t)):
             ab, ba = row[b], t[b][a]
             if ab != ba:
                 prod = row[a] * t[b][b]
-                if ab == prod:
+                if ab * D == prod:
                     out.append((a, b))
-                elif ba == prod:
+                elif ba * D == prod:
                     out.append((b, a))
     out.sort()
     return out

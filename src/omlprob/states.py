@@ -9,6 +9,7 @@ reports and returned objects hold the ``Fraction`` values.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -41,11 +42,14 @@ MAX_SCALE_BITS = 1024
 
 
 def _fraction(v) -> Fraction:
-    # Without parse_rational's digit bound, which a quotient p(a, b)/p(b, b)
-    # in "p/q" form can pass; a literal with an exponent is no such quotient.
+    # Without parse_rational's digit bound, which a quotient p(a, b)/p(b, b) in
+    # "p/q" form can pass; an exponent literal, int or Decimal is no quotient.
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, str) and ("e" in v or "E" in v):
+    if isinstance(v, Decimal):
+        return parse_rational(str(v))
+    if (isinstance(v, str) and ("e" in v or "E" in v)
+            or isinstance(v, int) and not isinstance(v, bool)):
         return parse_rational(v)
     if not isinstance(v, (bool, float)):
         try:
@@ -64,14 +68,15 @@ def _scale_to_integers(rows):
     lists) and ``ONE`` instead, so no table makes the scaled entries grow
     without bound.
     """
-    dens = {x.denominator for row in rows for x in row}
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    dens = {d for row in ratios for _, d in row}
     D = 1
     for d in dens:
         D = lcm(D, d)
         if D.bit_length() > MAX_SCALE_BITS:
             return [list(row) for row in rows], ONE
     scale = {d: D // d for d in dens}
-    return [[x.numerator * scale[x.denominator] for x in row] for row in rows], D
+    return [[n * scale[d] for n, d in row] for row in ratios], D
 
 
 def _first_nonadditive(pairs, T):

@@ -2,10 +2,13 @@
 
 ``validate_conditional_state`` is the exception: its entries are quotients
 whose "p/q" form may pass the literal-size bound, so it refuses ``bool``,
-``float`` and non-rational entries, not long literals.  A literal with an
-exponent is no quotient, so it keeps the exponent bound.
+``float`` and non-rational entries, not long "p/q" strings.  A literal with
+an exponent, an ``int`` or a ``Decimal`` is no quotient, so it keeps the
+bounds.  Every refusal is a ``ParseError``; none is a raw ``ValueError``
+from formatting a value past Python's 4300-digit ``int`` -> ``str`` limit.
 """
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -63,7 +66,9 @@ def test_exact_forms_agree(mo2, name):
 
 
 @pytest.mark.parametrize("name", BOUNDED)
-@pytest.mark.parametrize("bad", [True, 1.0, "1" * 1001], ids=["bool", "float", "long"])
+@pytest.mark.parametrize(
+    "bad", [True, 1.0, "1" * 1001, 10**5000], ids=["bool", "float", "long", "huge-int"]
+)
 def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
     with pytest.raises(ParseError):
         _entry_points(mo2)[name](bad)
@@ -71,9 +76,17 @@ def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [True, 1.0, "zz", "1/0", None, "1e1001", "1e5000"],
-    ids=["bool", "float", "junk", "zero-denominator", "none", "exponent", "huge-exponent"],
+    [True, 1.0, "zz", "1/0", None, "1e1001", "1e5000",
+     10**5000, Decimal("1e100000"), Decimal("1e5000"), Decimal("Infinity"), Decimal("NaN")],
+    ids=["bool", "float", "junk", "zero-denominator", "none", "exponent", "huge-exponent",
+         "huge-int", "huge-decimal", "decimal-exponent", "infinite-decimal", "nan-decimal"],
 )
 def test_conditional_state_refuses_inexact_inputs(mo2, bad):
     with pytest.raises(ParseError):
         _entry_points(mo2)["validate_conditional_state"](bad)
+
+
+def test_conditional_state_reads_decimals_exactly(mo2):
+    call = _entry_points(mo2)["validate_conditional_state"]
+    want = call(F(1))
+    assert call(Decimal("1")) == call(Decimal("1.000")) == call(Decimal("0.1E1")) == want

@@ -2,6 +2,7 @@ import json
 import pathlib
 import re
 import shlex
+from fractions import Fraction
 
 import pytest
 
@@ -257,6 +258,53 @@ def test_unhashable_label_exits_2(capsys, tmp_path, kind):
     err = capsys.readouterr().err
     assert "status: error" in err
     assert "Traceback" not in err
+
+
+def _with_cells(name, cells):
+    """A data file with table cells replaced: {(row, column): value} for an
+    s-map, {index: value} for a conditional state's triples."""
+    doc = json.loads((DATA / name).read_text())
+    doc["lattice"] = str(DATA / "mo2_lattice.json")
+    for key, v in cells.items():
+        if isinstance(key, tuple):
+            doc["table"][key[0]][key[1]] = v
+        else:
+            doc["table"][key][2] = v
+    return doc
+
+
+# Table cells are parsed through a memo of the strings of one document.  A
+# bool must not hit the entry of "1" or 1, an unhashable cell must not reach
+# the memo, and the first bad cell in document order names the error.
+@pytest.mark.parametrize("name, cells, message", [
+    ("two_blocks_smap.json", {("0", "0"): "1", ("0", "1"): 1, ("b'", "b'"): True},
+     "not a rational: True"),
+    ("two_blocks_smap.json", {("a", "b"): [1]}, "not a rational: [1]"),
+    ("two_blocks_smap.json", {("a", "b"): "zz", ("b", "a"): "zz", ("b'", "a"): "1/0"},
+     "not a rational: 'zz'"),
+    ("two_blocks_f.json", {0: "1", 1: 1, 7: True}, "not a rational: True"),
+    ("two_blocks_f.json", {3: [1]}, "not a rational: [1]"),
+])
+def test_bad_table_cell_exits_2(capsys, tmp_path, name, cells, message):
+    path = tmp_path / name
+    path.write_text(json.dumps(_with_cells(name, cells)))
+    with pytest.raises(ParseError) as exc:
+        files.load_typed(files.load_document(str(path)))
+    assert str(exc.value) == message
+    assert main(["validate", str(path)]) == 2
+    assert f"error = {message}\n" in capsys.readouterr().err
+
+
+def test_equal_literals_load_to_equal_entries(tmp_path):
+    """p(1, a) = p(a, 1) = p(a, a) = 2/5, written three ways."""
+    path = tmp_path / "p.json"
+    cells = {("1", "a"): "2/5", ("a", "1"): "4/10", ("a", "a"): "0.4"}
+    path.write_text(json.dumps(_with_cells("two_blocks_smap.json", cells)))
+    p = files.load_typed(files.load_document(str(path)))
+    want = files.load_typed(files.load_document(str(DATA / "two_blocks_smap.json")))
+    a = p.lattice.id_of("a")
+    assert p(p.lattice.one, a) == p(a, p.lattice.one) == p(a, a) == Fraction(2, 5)
+    assert p.table == want.table
 
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):

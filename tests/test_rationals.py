@@ -51,6 +51,16 @@ def test_parse_accepts_literals_at_the_bound():
     assert parse_rational("9" * 1000) == 10**1000 - 1
 
 
+def test_parse_bounds_ints_like_digit_strings():
+    """An int has the digit bound of its decimal literal, so no int past
+    Python's 4300-digit int -> str limit reaches a message."""
+    assert parse_rational(10**1000 - 1) == parse_rational("9" * 1000)
+    assert parse_rational(1 - 10**1000) == parse_rational("-" + "9" * 1000)
+    for bad in (10**1000, -(10**1000), 10**5000):
+        with pytest.raises(ParseError, match="more than 1000 digits"):
+            parse_rational(bad)
+
+
 @given(st.text("0123456789", min_size=1, max_size=40), st.text("0123456789", min_size=1, max_size=40))
 def test_parse_ascii_fraction_literals(p, q):
     assume(int(q) != 0)

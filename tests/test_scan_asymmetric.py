@@ -28,6 +28,20 @@ def test_scan_matches_double_loop_on_file():
     assert q.scan_asymmetric_pairs(p) == asymmetric_pairs_exhaustive(p) == sorted(want)
 
 
+@pytest.mark.parametrize("kind, n", [("boolean", 5), ("mo", 16)])
+def test_catalog_smaps_round_trip_through_files(tmp_path, kind, n):
+    L = q.build_catalog(kind, n)
+    files.write_document(str(tmp_path / "lattice.json"), files.lattice_document(L))
+    for seed in range(2):
+        p = q.random_smap(L, seed)
+        path = str(tmp_path / f"smap{seed}.json")
+        files.write_document(path, files.smap_document(p, "lattice.json"))
+        loaded = files.load_typed(files.load_document(path))
+        assert loaded.lattice.labels == L.labels
+        assert loaded.table == p.table
+        assert q.scan_asymmetric_pairs(loaded) == asymmetric_pairs_exhaustive(loaded)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from((("mo", 2), ("mo", 3), ("boolean", 2), ("boolean", 3))), st.data())
 def test_scan_matches_double_loop_on_any_table(kind, data):

@@ -13,7 +13,7 @@ from omlprob import states
 from omlprob.catalog import is_boolean_lattice, mo_blocks
 from omlprob.errors import S1Violation, S2Violation, S3Violation
 
-from oracles import assert_same_failure, smap_exhaustive
+from oracles import assert_same_failure, asymmetric_pairs_exhaustive, smap_exhaustive
 
 KINDS = (
     ("boolean", 2), ("boolean", 3), ("boolean", 4),
@@ -230,3 +230,20 @@ def test_prime_denominators_take_the_bounded_path():
     assert time.perf_counter() - start < 1.0
     assert_same_failure(got, smap_exhaustive(L, rows))
     assert isinstance(got, S3Violation)
+
+
+def test_scan_past_the_scaling_bound_matches_the_oracle():
+    """One ordered block pair in three gets p(c, d) = 1/4 = p(c, c)·p(d, d)
+    and the rest a prime denominator, so the scan compares ``Fraction``s and
+    still finds every one-way independent pair."""
+    L = q.build_catalog("mo", 16)
+    primes = _primes_from(2**61, 16 * 15)
+    dens = [4 if i % 3 == 0 else P for i, P in enumerate(primes)]
+    rows = _prime_denominator_table(L, dens)
+    assert states._scale_to_integers(rows)[1] is states.ONE
+    p = q.validate_smap(L, rows)
+    it = iter(dens)
+    den = {(i, j): next(it) for i in range(16) for j in range(16) if i != j}
+    pairs = q.scan_asymmetric_pairs(p)
+    assert len(pairs) == 4 * sum(den[i, j] == 4 != den[j, i] for i, j in den) > 0
+    assert pairs == asymmetric_pairs_exhaustive(p)
