@@ -21,7 +21,7 @@ from .errors import ParseError, SchemaError
 from .lattice import OrthomodularLattice, build_lattice
 from .observables import Observable, make_observable
 from .rationals import format_rational, parse_rational
-from .smap import SMap, complete_smap_table, validate_smap
+from .smap import SMap, _check_smap, _mapping_rows, complete_smap_table
 from .states import ConditionalState, State, validate_conditional_state, validate_state
 
 # kind -> (the field that marks an untyped document of the kind, the fields
@@ -183,7 +183,8 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
     for rlab, row in raw.items():
         for clab, v in row.items():
             partial[(L.id_of(rlab), L.id_of(clab))] = read(v)
-    return validate_smap(L, complete_smap_table(L, partial))
+    # Every cell is a Fraction by now, so the rows skip validate_smap's coercion.
+    return _check_smap(L, _mapping_rows(L, complete_smap_table(L, partial)))
 
 
 def load_observable(doc: Mapping, L: OrthomodularLattice | None = None) -> Observable:

@@ -88,10 +88,9 @@ class JointDistribution(NamedTuple):
 
 
 def joint_distribution(p: SMap, x: Observable, y: Observable) -> JointDistribution:
-    table = {}
-    for E in _subsets(x.spectrum):
-        for F in _subsets(y.spectrum):
-            table[(frozenset(E), frozenset(F))] = p(x.event(E), y.event(F))
+    xs = [(frozenset(E), x.event(E)) for E in _subsets(x.spectrum)]
+    ys = [(frozenset(F), y.event(F)) for F in _subsets(y.spectrum)]
+    table = {(E, F): p.table[e][f] for E, e in xs for F, f in ys}
     return JointDistribution(x, y, table)
 
 
@@ -109,7 +108,11 @@ def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
             f"{f.lattice.label(b)} is not a condition",
             witness=(f.lattice.label(b),),
         )
-    return sum((r * f(x.assignment[r], b) for r in x.spectrum), Fraction(0))
+    num, den = 0, 1
+    for r, e in x.assignment.items():
+        (rn, rd), (fn, fd) = r.as_integer_ratio(), f.table[(e, b)].as_integer_ratio()
+        num, den = num * rd * fd + rn * fn * den, den * rd * fd
+    return Fraction(num, den)
 
 
 def _checked_members(f: ConditionalState, B: BooleanSubalgebra) -> list[int]:

@@ -7,7 +7,8 @@ as fractions over powers of ten ("0.4" -> 2/5).
 A literal is refused before any ``Fraction`` is built if it has more than
 ``MAX_DIGITS`` digits or an exponent beyond ±``MAX_EXPONENT``: the ten bytes
 "1e3000000" would otherwise become a three-million-digit integer.  An ``int``
-is held to the same digit bound.
+and the numerator and denominator of a ``Fraction`` are held to the same
+digit bound.
 """
 
 import re
@@ -20,12 +21,13 @@ MAX_EXPONENT = 1000
 
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 _INT_BOUND = 10**MAX_DIGITS
+_TOO_LONG = f"numeric literal has more than {MAX_DIGITS} digits"
 
 
 def _check_literal_size(text: str) -> None:
     """Raise ParseError if the numeric literal ``text`` exceeds the bounds."""
     if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
-        raise ParseError(f"numeric literal has more than {MAX_DIGITS} digits")
+        raise ParseError(_TOO_LONG)
     if "e" in text or "E" in text:
         m = _EXPONENT.search(text)
         if m and abs(int(m.group(1).replace("_", ""))) > MAX_EXPONENT:
@@ -46,12 +48,14 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     if isinstance(value, Fraction):
-        return value
+        if abs(value.numerator) < _INT_BOUND and value.denominator < _INT_BOUND:
+            return value
+        raise ParseError(_TOO_LONG)
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
     if isinstance(value, int):
         if not -_INT_BOUND < value < _INT_BOUND:
-            raise ParseError(f"numeric literal has more than {MAX_DIGITS} digits")
+            raise ParseError(_TOO_LONG)
         return Fraction(value)
     if isinstance(value, float):
         # Floats only appear if a JSON loader was not configured with

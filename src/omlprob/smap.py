@@ -9,11 +9,13 @@ it may be asymmetric, which is where the one-way independence witnessed by
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .errors import (
     DomainTooSmall,
+    ParseError,
     S1Violation,
     S2Violation,
     S3Violation,
@@ -27,9 +29,9 @@ from .states import (
     ZERO,
     ConditionalState,
     State,
+    _check_conditional_state,
     _first_nonadditive,
     _scale_to_integers,
-    validate_conditional_state,
     validate_state,
 )
 
@@ -57,19 +59,29 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
     The axioms are checked on the table scaled to a common denominator;
     reports and the returned table hold the ``Fraction`` values.
     """
-    n = len(L)
     if isinstance(table, Mapping):
-        try:
-            rows = tuple(
-                tuple(parse_rational(table[(a, b)]) for b in L.elements) for a in L.elements
-            )
-        except KeyError as exc:
-            a, b = (L.label(x) for x in exc.args[0])
-            raise S1Violation(f"table missing entry p({a}, {b})", witness=(a, b)) from exc
+        rows = _mapping_rows(L, table, parse_rational)
     else:
         rows = tuple(tuple(map(parse_rational, row)) for row in table)
-        if len(rows) != n or any(len(r) != n for r in rows):
+        if len(rows) != len(L) or any(len(r) != len(L) for r in rows):
             raise S1Violation("table is not total")
+    return _check_smap(L, rows)
+
+
+def _mapping_rows(L: OrthomodularLattice, table: Mapping, read=None):
+    """The mapping (a, b) -> entry as a tuple of rows, each entry passed
+    through ``read`` if given.  Entries are read in row-major order, so the
+    first missing one there raises S1Violation."""
+    try:
+        keyed = (map(table.__getitem__, [(a, b) for b in L.elements]) for a in L.elements)
+        return tuple(tuple(row if read is None else map(read, row)) for row in keyed)
+    except KeyError as exc:
+        a, b = (L.label(x) for x in exc.args[0])
+        raise S1Violation(f"table missing entry p({a}, {b})", witness=(a, b)) from exc
+
+
+def _check_smap(L: OrthomodularLattice, rows) -> SMap:
+    """s1–s3 for ``rows``, a total tuple of rows of ``Fraction``s."""
     vals, top = _scale_to_integers(rows)
     for a, row in enumerate(vals):
         if min(row) < 0 or max(row) > top:
@@ -148,18 +160,25 @@ def nu_state(p: SMap) -> State:
 
 
 def smap_to_conditional(p: SMap) -> ConditionalState:
-    """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b)."""
+    """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b), so
+    section b is column b of P = D·p (``_scale_to_integers``) over P[b][b]."""
     L = p.lattice
     cs = p.support
-    t = p.table
-    tab = {(a, b): t[a][b] / t[b][b] for b in cs for a in L.elements}
     try:
-        return validate_conditional_state(L, cs, tab)
+        L.check_conditional_system(cs)
     except NotAConditionalSystem as exc:
         raise SupportNotConditionalSystem(
             f"support of the s-map is not a conditional system: {exc}",
             witness=exc.witness,
         ) from exc
+    if float in map(type, chain.from_iterable(p.table)):  # as_integer_ratio() reads it as binary
+        raise ParseError("refusing inexact float in the s-map table")
+    P, _ = _scale_to_integers(p.table)
+    sections, R, D = {}, {}, {}
+    for b in cs:
+        R[b], D[b] = [row[b] for row in P], P[b][b]
+        sections[b] = [Fraction(x, D[b]) for x in R[b]]
+    return _check_conditional_state(L, cs, sections, R, D)
 
 
 def conditional_to_smap(f: ConditionalState) -> SMap:
@@ -180,11 +199,16 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
             f"{[L.label(b) for b in missing]}",
             witness=tuple(L.label(b) for b in missing),
         )
-    rows = [
-        [tab[(a, b)] * m if m != 0 else ZERO for b, m in zip(L.elements, marginal)]
-        for a in L.elements
-    ]
-    return validate_smap(L, rows)
+    rows = [[ZERO] * len(L) for _ in L.elements]
+    for b, m in zip(L.elements, marginal):
+        if m != 0:
+            col = [m] + [tab[(a, b)] for a in L.elements]
+            if float in map(type, col):
+                raise ParseError(f"refusing inexact float in f(., {L.label(b)})")
+            (mn, md), *ratios = [x.as_integer_ratio() for x in col]
+            for row, (n, d) in zip(rows, ratios):
+                row[b] = Fraction(n * mn, d * md)
+    return _check_smap(L, tuple(map(tuple, rows)))
 
 
 def is_independent_product(p: SMap, b: int, a: int) -> bool:

@@ -197,16 +197,22 @@ def validate_conditional_state(
     increasing size would meet.
     """
     L.check_conditional_system(cs)
-    tab, sections, R, D = {}, {}, {}, {}
+    sections, R, D = {}, {}, {}
     for a in cs:
-        keys = [(b, a) for b in L.elements]
         try:
-            sections[a] = [_fraction(table[k]) for k in keys]
+            sections[a] = [_fraction(table[(b, a)]) for b in L.elements]
         except KeyError as exc:
             b, a = (L.label(x) for x in exc.args[0])
             raise C1Violation(f"table missing f({b}, {a})", witness=(b, a)) from None
-        tab.update(zip(keys, sections[a]))
         (R[a],), D[a] = _scale_to_integers((sections[a],))
+    return _check_conditional_state(L, cs, sections, R, D)
+
+
+def _check_conditional_state(L, cs, sections, R, D) -> ConditionalState:
+    """C1–C3 for the ``Fraction`` sections f(., a), a in the conditional
+    system cs, given also as rows R[a] = D[a]·f(., a) with D[a] > 0 (ints,
+    or ``Fraction``s past 2**MAX_SCALE_BITS); see validate_conditional_state."""
+    tab = {(b, a): x for a in cs for b, x in zip(L.elements, sections[a])}
     holds = all(
         min(r) >= 0 and max(r) <= D[a] and r[L.zero] == 0 and r[L.one] == r[a] == D[a]
         for a, r in R.items()

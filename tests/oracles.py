@@ -18,6 +18,11 @@ entries, section by section and one b at a time.
 
 The library visits each unordered pair once to list asymmetric
 independence.  The oracle tests both orders of every ordered pair.
+
+The library converts between s-maps and conditional states, and sums an
+expectation, on integer numerators and denominators, building one
+``Fraction`` per result.  The conversion and expectation oracles evaluate
+the defining formulas in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -225,6 +230,27 @@ def asymmetric_pairs_exhaustive(p) -> list[tuple[int, int]]:
                 if ab and not ba:
                     out.append((a, b))
     return out
+
+
+def smap_of_conditional(f) -> tuple[tuple[Fraction, ...], ...]:
+    """The rows of p_f(a, b) = f(a, b)·f(b, 1), 0 where f(b, 1) = 0."""
+    L, tab = f.lattice, f.table
+    return tuple(
+        tuple(tab[(a, b)] * tab[(b, L.one)] if tab[(b, L.one)] != 0 else Fraction(0)
+              for b in L.elements)
+        for a in L.elements
+    )
+
+
+def conditional_of_smap(p) -> dict[tuple[int, int], Fraction]:
+    """{(a, b): p(a, b)/p(b, b)} for b in the support of p."""
+    L = p.lattice
+    return {(a, b): p(a, b) / p(b, b) for b in L.elements if p(b, b) != 0 for a in L.elements}
+
+
+def expectation_sum(f, x, b) -> Fraction:
+    """Σ r·f(x(r), b) over the sorted spectrum of x."""
+    return sum((r * f.table[(x.assignment[r], b)] for r in x.spectrum), Fraction(0))
 
 
 def assert_same_failure(got, want) -> None:

@@ -4,8 +4,10 @@
 whose "p/q" form may pass the literal-size bound, so it refuses ``bool``,
 ``float`` and non-rational entries, not long "p/q" strings.  A literal with
 an exponent, an ``int`` or a ``Decimal`` is no quotient, so it keeps the
-bounds.  Every refusal is a ``ParseError``; none is a raw ``ValueError``
-from formatting a value past Python's 4300-digit ``int`` -> ``str`` limit.
+bounds.  An oversized ``Fraction`` entry there breaks C1, and the walk that
+names the failing section reads it through ``parse_rational``.  Every
+refusal is a ``ParseError``; none is a raw ``ValueError`` from formatting a
+value past Python's 4300-digit ``int`` -> ``str`` limit.
 """
 
 from decimal import Decimal
@@ -67,7 +69,8 @@ def test_exact_forms_agree(mo2, name):
 
 @pytest.mark.parametrize("name", BOUNDED)
 @pytest.mark.parametrize(
-    "bad", [True, 1.0, "1" * 1001, 10**5000], ids=["bool", "float", "long", "huge-int"]
+    "bad", [True, 1.0, "1" * 1001, 10**5000, F(10**5000)],
+    ids=["bool", "float", "long", "huge-int", "huge-fraction"],
 )
 def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
     with pytest.raises(ParseError):
@@ -76,10 +79,11 @@ def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
 
 @pytest.mark.parametrize(
     "bad",
-    [True, 1.0, "zz", "1/0", None, "1e1001", "1e5000",
-     10**5000, Decimal("1e100000"), Decimal("1e5000"), Decimal("Infinity"), Decimal("NaN")],
+    [True, 1.0, "zz", "1/0", None, "1e1001", "1e5000", 10**5000, F(10**5000),
+     Decimal("1e100000"), Decimal("1e5000"), Decimal("Infinity"), Decimal("NaN")],
     ids=["bool", "float", "junk", "zero-denominator", "none", "exponent", "huge-exponent",
-         "huge-int", "huge-decimal", "decimal-exponent", "infinite-decimal", "nan-decimal"],
+         "huge-int", "huge-fraction", "huge-decimal", "decimal-exponent", "infinite-decimal",
+         "nan-decimal"],
 )
 def test_conditional_state_refuses_inexact_inputs(mo2, bad):
     with pytest.raises(ParseError):

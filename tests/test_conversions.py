@@ -1,0 +1,134 @@
+"""The s-map ↔ conditional-state conversions and ``expectation`` against
+their ``Fraction`` formulas (``oracles``), on seeded instances, catalog
+tables and tables whose common denominator passes 2**MAX_SCALE_BITS.
+Every entry they return is a ``Fraction``."""
+
+from fractions import Fraction as F
+from itertools import chain
+
+import pytest
+
+import omlprob as q
+from omlprob import states
+from omlprob.errors import NoSolution, ParseError
+from omlprob.smap import SMap
+from omlprob.states import ConditionalState
+
+from oracles import conditional_of_smap, expectation_sum, smap_of_conditional
+from test_cstate_kernel import M521, M607, _mersenne_cstate
+from test_smap_kernel import _prime_denominator_table, _primes_from
+
+
+def _all_fractions(values):
+    return all(type(x) is F for x in values)
+
+
+def _observable(L, values):
+    """x = values[0] on the first element other than 0 and 1, values[1] on
+    its complement."""
+    d = next(d for d in L.elements if d not in (L.zero, L.one))
+    return q.make_observable(L, [(values[0], d), (values[1], L.ortho(d))])
+
+
+def _assert_conversions_match(f, p=None):
+    """Both conversions and every expectation equal their oracles, starting
+    from f (and from p, if given, for the way back)."""
+    L = f.lattice
+    got_p = q.conditional_to_smap(f)
+    assert got_p.table == smap_of_conditional(f)
+    assert _all_fractions(chain.from_iterable(got_p.table))
+    p = got_p if p is None else p
+    got_f = q.smap_to_conditional(p)
+    assert got_f.table == conditional_of_smap(p)
+    assert got_f.conditions == p.support
+    assert _all_fractions(got_f.table.values())
+    x = _observable(L, (F(-3, 7), F(5, 11)))
+    for b in f.conditions:
+        got = q.expectation(f, x, b)
+        assert got == expectation_sum(f, x, b) and type(got) is F
+
+
+def test_seeded_instances_match_the_oracles(instances):
+    for _, f, p in instances:
+        _assert_conversions_match(f, p)
+
+
+@pytest.mark.parametrize("kind, n", [("boolean", 4), ("mo", 8)])
+def test_catalog_tables_match_the_oracles(kind, n):
+    L = q.build_catalog(kind, n)
+    for seed in range(3):
+        _assert_conversions_match(q.random_conditional_state(L, seed))
+
+
+def test_mersenne_sections_match_the_oracles():
+    L, _, cs, tab = _mersenne_cstate()
+    f = q.validate_conditional_state(L, cs, tab)
+    assert states._scale_to_integers(q.conditional_to_smap(f).table)[1] is states.ONE
+    _assert_conversions_match(f)
+
+
+@pytest.mark.parametrize("kind, n", [("mo", 3), ("boolean", 3)])
+def test_mixtures_past_the_bound_match_the_oracles(kind, n):
+    """t·p₁ + (1−t)·p₂ with t = 1/(M521·M607) is an s-map whose common
+    denominator passes 2**MAX_SCALE_BITS."""
+    L = q.build_catalog(kind, n)
+    p1, p2 = (q.random_smap(L, seed).table for seed in (0, 1))
+    t = F(1, M521 * M607)
+    p = q.validate_smap(
+        L, [[t * x + (1 - t) * y for x, y in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
+    )
+    assert states._scale_to_integers(p.table)[1] is states.ONE
+    f = q.smap_to_conditional(p)
+    _assert_conversions_match(f, p)
+    assert q.conditional_to_smap(f) == p
+
+
+def test_prime_denominator_table_matches_the_oracles():
+    L = q.build_catalog("mo", 16)
+    p = q.validate_smap(L, _prime_denominator_table(L, _primes_from(2**61, 16 * 15)))
+    assert states._scale_to_integers(p.table)[1] is states.ONE
+    f = q.smap_to_conditional(p)
+    _assert_conversions_match(f, p)
+    assert q.conditional_to_smap(f) == p
+
+
+def test_expectation_over_coprime_denominators():
+    """Twelve values over the first twelve primes, inserted out of order;
+    the events are the four atoms of boolean(4) and, for the rest, 0."""
+    L = q.build_catalog("boolean", 4)
+    atoms = [x for x in L.elements if x != L.zero
+             and all(y in (L.zero, x) for y in L.elements if L.leq(y, x))]
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    values = [F((-1) ** i * (i + 1), P) for i, P in enumerate(primes)]
+    events = atoms + [L.zero] * (len(values) - len(atoms))
+    pairs = [(values[i], events[i]) for i in (7, 2, 11, 0, 9, 4, 1, 10, 5, 3, 8, 6)]
+    x = q.make_observable(L, pairs)
+    assert list(x.assignment) != sorted(x.assignment)
+    for seed in range(3):
+        f = q.random_conditional_state(L, seed)
+        for b in f.conditions:
+            got = q.expectation(f, x, b)
+            assert got == expectation_sum(f, x, b) and type(got) is F
+
+
+def test_float_entries_are_refused(example_f, example_smap, mo2):
+    a = mo2.id_of("a")
+    f = ConditionalState(mo2, example_f.conditions, example_f.table | {(a, mo2.one): 0.4})
+    with pytest.raises(ParseError):
+        q.conditional_to_smap(f)
+    rows = [list(r) for r in example_smap.table]
+    rows[a][a] = 0.4
+    with pytest.raises(ParseError):
+        q.smap_to_conditional(SMap(mo2, tuple(map(tuple, rows))))
+
+
+def test_no_solution_names_the_failing_member(example_f, mo2):
+    """A hand-built table that breaks the law of total expectation at 1."""
+    b, bp = mo2.id_of("b"), mo2.id_of("b'")
+    half = {(b, mo2.one): F(1, 2), (bp, mo2.one): F(1, 2)}
+    f = ConditionalState(mo2, example_f.conditions, example_f.table | half)
+    y = q.make_observable(mo2, [(1, b), (2, bp)])
+    with pytest.raises(NoSolution) as exc:
+        q.conditional_expectation(f, y, mo2.boolean_subalgebra(mo2.id_of("a")))
+    assert str(exc.value) == "f(x, 1) = 3/2 but the candidate gives 17/10"
+    assert exc.value.witness == ("1",)
