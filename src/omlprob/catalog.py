@@ -106,32 +106,31 @@ def build_catalog(kind: str, n: int = 1) -> OrthomodularLattice:
 
 
 # --- shape detection ---------------------------------------------------------
+# Both read L.atoms: each x of a finite OML is the join y of the atoms below
+# it, as y < x would leave an atom below x∧y⊥ ≠ 0 (orthomodular law).
 
 def is_boolean_lattice(L: OrthomodularLattice) -> bool:
-    return all(L.is_compatible(a, b) for a in L.elements for b in L.elements)
+    """Iff the atoms are pairwise orthogonal: atoms of a Boolean algebra are
+    disjoint, and an orthogonal family generates a Boolean subalgebra."""
+    return all(L.is_orthogonal(a, b) for a, b in combinations(L.atoms, 2))
 
 
 def mo_blocks(L: OrthomodularLattice) -> list[tuple[int, int]]:
-    """The (atom, complement) blocks of an MO-shaped lattice.
+    """The (atom, complement) blocks of an MO-shaped lattice, by atom id.
 
-    Raises LatticeInputError if some nontrivial element is compatible with
-    anything beyond 0, 1, itself and its complement.
+    No nontrivial x is compatible with anything beyond 0, 1, x, x⊥ iff every
+    nontrivial element is an atom: an atom below a non-atom x is compatible
+    with x, and an atom a meets each b ∉ {a, a⊥} and b⊥ in 0.  Otherwise
+    raises LatticeInputError naming the first non-atom and an atom below it.
     """
-    blocks = []
-    seen = set()
-    trivial = {L.zero, L.one}
+    atoms = set(L.atoms)
     for x in L.elements:
-        if x in trivial or x in seen:
-            continue
-        xp = L.ortho(x)
-        for y in L.elements:
-            if y not in trivial | {x, xp} and L.is_compatible(x, y):
-                raise LatticeInputError(
-                    f"{L.label(x)} is compatible with {L.label(y)}: not MO-shaped"
-                )
-        blocks.append((x, xp))
-        seen.update((x, xp))
-    return blocks
+        if x not in atoms and x not in (L.zero, L.one):
+            lx, lt = L.label(x), L.label(next(a for a in L.atoms if L.leq(a, x)))
+            raise LatticeInputError(
+                f"{lx} is compatible with {lt}: not MO-shaped", witness=(lx, lt)
+            )
+    return [(a, L.ortho(a)) for a in L.atoms if a < L.ortho(a)]
 
 
 # --- random generators -------------------------------------------------------
@@ -145,27 +144,25 @@ def _between(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     return lo + _unit_fraction(rng) * (hi - lo)
 
 
+def _blocks(L: OrthomodularLattice) -> list[tuple[int, int]] | None:
+    """None on a Boolean lattice, else its MO blocks."""
+    return None if is_boolean_lattice(L) else mo_blocks(L)
+
+
 def random_state(L: OrthomodularLattice, seed: int) -> State:
     """A seeded random state; strictly positive on atoms of catalog lattices."""
-    rng = random.Random(seed)
-    return _random_state(L, rng)
+    return _random_state(L, random.Random(seed), _blocks(L))
 
 
-def _random_state(L: OrthomodularLattice, rng: random.Random) -> State:
-    if is_boolean_lattice(L):
-        atoms = [
-            a
-            for a in L.elements
-            if a != L.zero and not any(b not in (L.zero, a) and L.leq(b, a) for b in L.elements)
-        ]
-        weights = {a: Fraction(rng.randint(1, DENOM_BOUND)) for a in atoms}
+def _random_state(L: OrthomodularLattice, rng: random.Random, blocks) -> State:
+    if blocks is None:
+        weights = {a: Fraction(rng.randint(1, DENOM_BOUND)) for a in L.atoms}
         total = sum(weights.values())
         values = [
-            sum((weights[a] for a in atoms if L.leq(a, x)), Fraction(0)) / total
+            sum((weights[a] for a in L.atoms if L.leq(a, x)), Fraction(0)) / total
             for x in L.elements
         ]
         return validate_state(L, values)
-    blocks = mo_blocks(L)
     values = [Fraction(0)] * len(L)
     values[L.one] = Fraction(1)
     for c, cp in blocks:
@@ -184,8 +181,9 @@ def random_conditional_state(L: OrthomodularLattice, seed: int) -> ConditionalSt
     """
     rng = random.Random(seed)
     cs = frozenset(x for x in L.elements if x != L.zero)
-    if is_boolean_lattice(L):
-        m = _random_state(L, rng)
+    blocks = _blocks(L)
+    m = _random_state(L, rng, blocks)
+    if blocks is None:
         tab = {
             (x, y): m(L.meet(x, y)) / m(y)
             for y in cs
@@ -193,8 +191,6 @@ def random_conditional_state(L: OrthomodularLattice, seed: int) -> ConditionalSt
         }
         return validate_conditional_state(L, cs, tab)
 
-    blocks = mo_blocks(L)
-    m = _random_state(L, rng)
     tab: dict[tuple[int, int], Fraction] = {}
     for x in L.elements:
         tab[(x, L.one)] = m(x)

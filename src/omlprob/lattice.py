@@ -7,7 +7,8 @@ handles; the meet of a and b is the one element whose down-set is
 ``down[a] & down[b]``, found by dictionary lookup (joins likewise).
 Orthogonality is kept the same way (``perp[b]`` holds the ids below b⊥), and
 ``orthogonal_pairs`` lists every pair a < b with a ⊥ b together with a∨b,
-once, for the validators' additivity and mixing laws.
+once, for the validators' additivity and mixing laws, and ``atoms`` lists the
+elements a whose down-set is {0, a}, in ascending order.
 
 A lattice is validated completely at construction time: bounded poset,
 existence and uniqueness of all meets/joins, the ortholattice axioms and the
@@ -17,6 +18,7 @@ is immutable, so concurrent reads are safe.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -52,8 +54,9 @@ class BooleanSubalgebra(NamedTuple):
 class OrthomodularLattice:
     """A finite bounded lattice with a validated orthocomplementation."""
 
-    def __init__(self, labels, up, perp, pairs, ortho, zero, one, meet_table, join_table):
+    def __init__(self, labels, up, perp, pairs, ortho, zero, one, meet_table, join_table, atoms):
         self.labels: tuple[str, ...] = labels
+        self.atoms: tuple[int, ...] = atoms
         self._up = up
         self._perp = perp
         self._pairs = pairs
@@ -173,8 +176,9 @@ class OrthomodularLattice:
     # -- subalgebra helper --------------------------------------------------
 
     def boolean_subalgebra_from_members(self, members: Iterable[int]) -> BooleanSubalgebra:
-        """Wrap a member set as a BooleanSubalgebra, validating closure,
-        distributivity and atomicity."""
+        """Wrap a member set as a BooleanSubalgebra, validating closure and pairwise
+        compatibility: Foulis–Holland makes such a sub-ortholattice of an OML
+        distributive, and a = (a∧b) ∨ (a∧b⊥) holds in a Boolean one."""
         mem = frozenset(members)
         for need in (self.zero, self.one):
             if need not in mem:
@@ -187,28 +191,15 @@ class OrthomodularLattice:
                     raise LatticeInputError(
                         f"not lattice-closed at ({self.label(a)}, {self.label(b)})"
                     )
-        for a in mem:
-            for b in mem:
-                for c in mem:
-                    lhs = self.meet(a, self.join(b, c))
-                    rhs = self.join(self.meet(a, b), self.meet(a, c))
-                    if lhs != rhs:
-                        raise LatticeInputError(
-                            "not distributive at "
-                            f"({self.label(a)}, {self.label(b)}, {self.label(c)})"
-                        )
+        for a, b in product(mem, mem):
+            if not self.is_compatible(a, b):
+                la, lb = self.label(a), self.label(b)
+                raise LatticeInputError(
+                    f"not Boolean: {la} and {lb} are not compatible", witness=(la, lb)
+                )
         nonzero = [a for a in mem if a != self.zero]
-        atoms = tuple(
-            sorted(
-                a
-                for a in nonzero
-                if not any(b != a and self.leq(b, a) for b in nonzero)
-            )
-        )
-        for a in mem:
-            if self.join_all(x for x in atoms if self.leq(x, a)) != a:
-                raise LatticeInputError(f"{self.label(a)} is not a join of atoms")
-        return BooleanSubalgebra(self, mem, atoms)
+        atoms = sorted(a for a in nonzero if not any(b != a and self.leq(b, a) for b in nonzero))
+        return BooleanSubalgebra(self, mem, tuple(atoms))
 
 
 # Bound on the element count; the meet and join tables take n² entries each.
@@ -329,6 +320,8 @@ def build_lattice(
                 )
 
     perp = tuple(down[o] for o in ortho)
+    # An atom is an element whose strict down-set is {0}.
+    atoms = tuple(a for a, d in enumerate(down) if d ^ (1 << a) == 1 << zero)
     pairs = tuple(
         (a, b, join_table[a][b]) for a in range(n) for b in _bits(perp[a]) if a < b
     )
@@ -342,4 +335,5 @@ def build_lattice(
         one,
         tuple(tuple(row) for row in meet_table),
         tuple(tuple(row) for row in join_table),
+        atoms,
     )

@@ -5,10 +5,10 @@ is ever stored as a float.  Decimal literals in input files are read exactly
 as fractions over powers of ten ("0.4" -> 2/5).
 
 A literal is refused before any ``Fraction`` is built if it has more than
-``MAX_DIGITS`` digits or an exponent beyond ±``MAX_EXPONENT``: the ten bytes
-"1e3000000" would otherwise become a three-million-digit integer.  An ``int``
-and the numerator and denominator of a ``Fraction`` are held to the same
-digit bound.
+``MAX_DIGITS`` digits (on either side of a ``"p/q"``) or an exponent beyond
+±``MAX_EXPONENT``: the ten bytes "1e3000000" would otherwise become a
+three-million-digit integer.  An ``int`` and the numerator and denominator of
+a ``Fraction`` are held to the same bound, so a ``Fraction`` reads back.
 """
 
 import re
@@ -26,7 +26,9 @@ _TOO_LONG = f"numeric literal has more than {MAX_DIGITS} digits"
 
 def _check_literal_size(text: str) -> None:
     """Raise ParseError if the numeric literal ``text`` exceeds the bounds."""
-    if len(text) > MAX_DIGITS and sum(c.isdigit() for c in text) > MAX_DIGITS:
+    if len(text) > MAX_DIGITS and any(  # each side of "p/q", as in a Fraction
+        sum(c.isdigit() for c in side) > MAX_DIGITS for side in text.split("/", 1)
+    ):
         raise ParseError(_TOO_LONG)
     if "e" in text or "E" in text:
         m = _EXPONENT.search(text)

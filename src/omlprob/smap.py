@@ -9,7 +9,6 @@ it may be asymmetric, which is where the one-way independence witnessed by
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
 from typing import Mapping, NamedTuple
 
@@ -159,6 +158,14 @@ def nu_state(p: SMap) -> State:
     return validate_state(p.lattice, [p(b, b) for b in p.lattice.elements])
 
 
+def _require_exact(values, where: str) -> None:
+    """ParseError unless each value's type is int or Fraction: the conversions
+    call as_integer_ratio(), which a bool and a float have too."""
+    if not {int, Fraction}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in (int, Fraction))
+        raise ParseError(f"refusing {bad!r} in {where}: entries must be int or Fraction")
+
+
 def smap_to_conditional(p: SMap) -> ConditionalState:
     """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b), so
     section b is column b of P = D·p (``_scale_to_integers``) over P[b][b]."""
@@ -171,8 +178,8 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
             f"support of the s-map is not a conditional system: {exc}",
             witness=exc.witness,
         ) from exc
-    if float in map(type, chain.from_iterable(p.table)):  # as_integer_ratio() reads it as binary
-        raise ParseError("refusing inexact float in the s-map table")
+    for row in p.table:
+        _require_exact(row, "the s-map table")
     P, _ = _scale_to_integers(p.table)
     sections, R, D = {}, {}, {}
     for b in cs:
@@ -203,8 +210,7 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
     for b, m in zip(L.elements, marginal):
         if m != 0:
             col = [m] + [tab[(a, b)] for a in L.elements]
-            if float in map(type, col):
-                raise ParseError(f"refusing inexact float in f(., {L.label(b)})")
+            _require_exact(col, f"f(., {L.label(b)})")
             (mn, md), *ratios = [x.as_integer_ratio() for x in col]
             for row, (n, d) in zip(rows, ratios):
                 row[b] = Fraction(n * mn, d * md)

@@ -17,6 +17,23 @@ def mo2():
     return q.build_catalog("mo", 2)
 
 
+def pasting_lattice():
+    """Two three-atom Boolean blocks {a, b, c} and {c, d, e} pasted at c, so
+    that c' = a∨b = d∨e: an OML that is neither Boolean nor MO-shaped."""
+    atoms = "abcde"
+    leq = [("0", t) for t in atoms] + [(t + "'", "1") for t in atoms]
+    for block in ("abc", "cde"):
+        leq += [(t, u + "'") for t in block for u in block if t != u]
+    ortho = [("0", "1")] + [(t, t + "'") for t in atoms]
+    labels = ["0", "1", *atoms, *(t + "'" for t in atoms)]
+    return q.build_lattice(labels, leq, ortho)
+
+
+@pytest.fixture(scope="session")
+def pasting():
+    return pasting_lattice()
+
+
 @pytest.fixture(scope="session")
 def mo2_ids(mo2):
     return {lab: mo2.id_of(lab) for lab in mo2.labels}

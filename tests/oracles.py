@@ -23,6 +23,13 @@ The library converts between s-maps and conditional states, and sums an
 expectation, on integer numerators and denominators, building one
 ``Fraction`` per result.  The conversion and expectation oracles evaluate
 the defining formulas in ``Fraction`` arithmetic.
+
+The library reads a lattice's atoms from the down-sets ``build_lattice``
+holds, decides whether it is Boolean or MO-shaped from the atoms, and
+accepts a Boolean subalgebra whose members are pairwise compatible.  The
+shape oracles scan every pair of elements for order or compatibility, and
+the subalgebra oracle checks distributivity on every triple of members and
+that every member is a join of atoms.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from typing import Mapping
 
 from omlprob.errors import (
     C1Violation,
+    LatticeInputError,
     C2Violation,
     C3Violation,
     NotAdditive,
@@ -41,7 +49,7 @@ from omlprob.errors import (
     S2Violation,
     S3Violation,
 )
-from omlprob.lattice import OrthomodularLattice
+from omlprob.lattice import BooleanSubalgebra, OrthomodularLattice
 
 
 def orthogonal_families(L: OrthomodularLattice, members: frozenset[int]):
@@ -260,3 +268,77 @@ def assert_same_failure(got, want) -> None:
         assert type(got) is type(want)
         assert got.witness == want.witness
         assert str(got) == str(want)
+
+
+def atoms_exhaustive(L: OrthomodularLattice) -> list[int]:
+    """The nonzero elements with no nonzero element strictly below, by id."""
+    return [
+        a
+        for a in L.elements
+        if a != L.zero and not any(b not in (L.zero, a) and L.leq(b, a) for b in L.elements)
+    ]
+
+
+def is_boolean_exhaustive(L: OrthomodularLattice) -> bool:
+    """Every pair of elements is compatible."""
+    return all(L.is_compatible(a, b) for a in L.elements for b in L.elements)
+
+
+def mo_blocks_exhaustive(L: OrthomodularLattice) -> list[tuple[int, int]]:
+    """The (element, complement) blocks, raising LatticeInputError if some
+    nontrivial element is compatible with anything beyond 0, 1, itself and
+    its complement."""
+    blocks = []
+    seen = set()
+    trivial = {L.zero, L.one}
+    for x in L.elements:
+        if x in trivial or x in seen:
+            continue
+        xp = L.ortho(x)
+        for y in L.elements:
+            if y not in trivial | {x, xp} and L.is_compatible(x, y):
+                raise LatticeInputError(
+                    f"{L.label(x)} is compatible with {L.label(y)}: not MO-shaped"
+                )
+        blocks.append((x, xp))
+        seen.update((x, xp))
+    return blocks
+
+
+def boolean_subalgebra_exhaustive(L: OrthomodularLattice, members) -> BooleanSubalgebra:
+    """The member set as a BooleanSubalgebra, validating closure,
+    distributivity on every triple and that every member is a join of atoms."""
+    mem = frozenset(members)
+    for need in (L.zero, L.one):
+        if need not in mem:
+            raise LatticeInputError("Boolean subalgebra must contain 0 and 1")
+    for a in mem:
+        if L.ortho(a) not in mem:
+            raise LatticeInputError(f"not ⊥-closed at {L.label(a)}")
+        for b in mem:
+            if L.meet(a, b) not in mem or L.join(a, b) not in mem:
+                raise LatticeInputError(
+                    f"not lattice-closed at ({L.label(a)}, {L.label(b)})"
+                )
+    for a in mem:
+        for b in mem:
+            for c in mem:
+                lhs = L.meet(a, L.join(b, c))
+                rhs = L.join(L.meet(a, b), L.meet(a, c))
+                if lhs != rhs:
+                    raise LatticeInputError(
+                        "not distributive at "
+                        f"({L.label(a)}, {L.label(b)}, {L.label(c)})"
+                    )
+    nonzero = [a for a in mem if a != L.zero]
+    atoms = tuple(
+        sorted(
+            a
+            for a in nonzero
+            if not any(b != a and L.leq(b, a) for b in nonzero)
+        )
+    )
+    for a in mem:
+        if L.join_all(x for x in atoms if L.leq(x, a)) != a:
+            raise LatticeInputError(f"{L.label(a)} is not a join of atoms")
+    return BooleanSubalgebra(L, mem, atoms)

@@ -16,14 +16,6 @@ DENOM = 1000
 ORACLE_KINDS = (("boolean", 2), ("boolean", 3), ("mo", 2), ("mo", 3), ("mo", 4))
 
 
-def _atoms(L):
-    return [
-        a
-        for a in L.elements
-        if a != L.zero and not any(b not in (L.zero, a) and L.leq(b, a) for b in L.elements)
-    ]
-
-
 def _other_section(L, tab, rng):
     """Swap the section f(., a) at one or two conditions a ∉ {0, 1} for
     another state concentrated on a; None when no such a exists.
@@ -36,9 +28,8 @@ def _other_section(L, tab, rng):
     depends on the order in which the pairs are visited.
     """
     if is_boolean_lattice(L):
-        atoms = _atoms(L)
         below = {
-            a: [t for t in atoms if L.leq(t, a)] for a in L.elements if a != L.one
+            a: [t for t in L.atoms if L.leq(t, a)] for a in L.elements if a != L.one
         }
         blocks = [(a,) for a, ts in below.items() if len(ts) >= 2]
 

@@ -112,14 +112,17 @@ def test_expectation_over_coprime_denominators():
 
 
 def test_float_entries_are_refused(example_f, example_smap, mo2):
+    """Only int and Fraction entries are converted; a bool is refused too."""
     a = mo2.id_of("a")
-    f = ConditionalState(mo2, example_f.conditions, example_f.table | {(a, mo2.one): 0.4})
-    with pytest.raises(ParseError):
-        q.conditional_to_smap(f)
-    rows = [list(r) for r in example_smap.table]
-    rows[a][a] = 0.4
-    with pytest.raises(ParseError):
-        q.smap_to_conditional(SMap(mo2, tuple(map(tuple, rows))))
+    for bad in (0.4, "2/5", None, True):
+        f = ConditionalState(mo2, example_f.conditions, example_f.table | {(a, mo2.one): bad})
+        with pytest.raises(ParseError):
+            q.conditional_to_smap(f)
+        for x in (a, mo2.one):
+            rows = [list(r) for r in example_smap.table]
+            rows[x][x] = bad
+            with pytest.raises(ParseError):
+                q.smap_to_conditional(SMap(mo2, tuple(map(tuple, rows))))
 
 
 def test_no_solution_names_the_failing_member(example_f, mo2):

@@ -492,6 +492,23 @@ class TestConvertCommand:
             for x in mo2.elements:
                 assert f(x, c) == orig(x, c)
 
+    def test_written_smap_with_long_entries_reads_back(self, capsys, tmp_path, mo2):
+        """Each side of a written "p/q" is within the digit bound, so the
+        document loads, although 1 − t takes 1203 characters in all."""
+        t = Fraction(3, 10**600 + 7)
+        ones = [{mo2.one, mo2.id_of("a"), mo2.id_of("b")},
+                {mo2.one, mo2.id_of("a'"), mo2.id_of("b'")}]
+        rows = [[t * (x in ones[0] and y in ones[0]) + (1 - t) * (x in ones[1] and y in ones[1])
+                 for y in mo2.elements] for x in mo2.elements]
+        p = q.validate_smap(mo2, rows)
+        files.write_document(str(tmp_path / "mo2.json"), files.lattice_document(mo2))
+        path = tmp_path / "smap.json"
+        files.write_document(str(path), files.smap_document(p, "mo2.json"))
+        assert len(files.smap_document(p)["table"]["a'"]["a'"]) == 1203
+        assert files.load_smap(files.load_document(str(path))).table == p.table
+        code, _ = run(capsys, "convert", str(path), "-o", str(tmp_path / "f.json"))
+        assert code == 0
+
     def test_invalid_input_surfaces_violation(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_f.json").read_text())
         doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())

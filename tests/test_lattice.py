@@ -230,8 +230,10 @@ class TestBooleanSubalgebra:
             assert set(B.atoms) == {d, mo2.ortho(d)}
 
     def test_members_wrapper_rejects_non_boolean(self, mo2):
-        with pytest.raises(LatticeInputError):
+        with pytest.raises(LatticeInputError) as exc:
             mo2.boolean_subalgebra_from_members(mo2.elements)
+        assert str(exc.value) == "not Boolean: a and b are not compatible"
+        assert exc.value.witness == ("a", "b")
 
 
 class TestConditionalSystems:

@@ -17,15 +17,6 @@ def obs_y(mo2):
     return q.make_observable(mo2, [(1, mo2.id_of("b")), (2, mo2.id_of("b'"))])
 
 
-def boolean3_atoms(L):
-    return [
-        x
-        for x in L.elements
-        if x != L.zero
-        and all(y in (L.zero, x) for y in L.elements if L.leq(y, x))
-    ]
-
-
 class TestMakeObservable:
     def test_block_observable(self, mo2, obs_x):
         assert obs_x.spectrum == (F(1), F(2))
@@ -155,8 +146,7 @@ class TestConditionalExpectation:
     def test_projection_on_measurable_observables(self):
         # x with range inside B is reproduced exactly.
         L = q.build_catalog("boolean", 3)
-        atoms = boolean3_atoms(L)
-        d = atoms[0]
+        d = L.atoms[0]
         for seed in range(5):
             f = q.random_conditional_state(L, seed)
             x = q.make_observable(L, [(3, d), (5, L.ortho(d))])

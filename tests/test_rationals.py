@@ -39,7 +39,9 @@ def test_format_decimal_refuses_nonterminating():
     assert format_rational(F(11, 30), decimal=True, approx=True) == repr(11 / 30)
 
 
-@pytest.mark.parametrize("bad", ["1e3000000", "1E-1001", "9" * 1001, "1/" + "3" * 1001])
+@pytest.mark.parametrize(
+    "bad", ["1e3000000", "1E-1001", "9" * 1001, "1/" + "3" * 1001, "9" * 1001 + "/1"]
+)
 def test_parse_bounds_literal_size(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
@@ -49,6 +51,8 @@ def test_parse_accepts_literals_at_the_bound():
     assert parse_rational("1e1000") == 10**1000
     assert parse_rational("1e-1000") == F(1, 10**1000)
     assert parse_rational("9" * 1000) == 10**1000 - 1
+    # A "p/q" literal is bounded on each side, as a Fraction is.
+    assert parse_rational("-" + "9" * 1000 + "/" + "9" * 999 + "8") == F(1 - 10**1000, 10**1000 - 2)
 
 
 def test_parse_bounds_ints_like_digit_strings():

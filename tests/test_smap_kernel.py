@@ -38,9 +38,7 @@ def _two_valued_state(L, choice):
     """A 0/1-valued state: the up-set of an atom (Boolean) or one element of
     every block (MO); ``choice`` picks which."""
     if is_boolean_lattice(L):
-        atoms = [a for a in L.elements if a != L.zero
-                 and not any(b not in (L.zero, a) and L.leq(b, a) for b in L.elements)]
-        t = atoms[choice % len(atoms)]
+        t = L.atoms[choice % len(L.atoms)]
         return [int(L.leq(t, x)) for x in L.elements]
     ones = {L.one} | {pair[choice >> i & 1] for i, pair in enumerate(mo_blocks(L))}
     return [int(x in ones) for x in L.elements]
