@@ -8,12 +8,20 @@ carry a "type" field ("lattice", "state", "conditional_state", "smap",
 document's kind is inferred from its fields (``DOCUMENT_KINDS``).  A table
 document may name its lattice in a "lattice" field, inline or as a path
 relative to the document.  Unknown fields are rejected.
+
+A lattice named by path is built once per file content: the file is read on
+every load, and a lattice built from the same bytes is reused from a memo of
+the last ``_LATTICE_MEMO_SIZE`` contents, oldest out first.  Changed bytes
+are a new key, so an edited file is never served stale; a failure is never
+stored, and an inline lattice or a direct ``load_lattice`` always builds.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import threading
 from fractions import Fraction
 from typing import Mapping
 
@@ -41,22 +49,61 @@ def _json_int(text: str) -> int:
     return int(parse_rational(text))  # bounds the digit count first
 
 
-def load_document(path: str) -> dict:
+class _Document(dict):
+    """A document read from the file at ``path``; a relative lattice
+    reference resolves against that file's directory."""
+
+    __slots__ = ("path",)
+
+
+def _read(path: str) -> bytes:
     try:
-        with open(path) as fh:
-            doc = json.load(fh, parse_float=parse_rational, parse_int=_json_int)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse(path: str, data: bytes) -> dict:
+    """The document in the bytes ``data`` read from ``path``, decoded as
+    ``open(path)`` would decode the file."""
+    try:
+        doc = json.load(io.TextIOWrapper(io.BytesIO(data)),
+                        parse_float=parse_rational, parse_int=_json_int)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path} is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top-level value must be an object")
-    doc["__path__"] = path
+    doc = _Document(doc)
+    doc.path = path
     return doc
+
+
+def load_document(path: str) -> dict:
+    return _parse(path, _read(path))
+
+
+_LATTICE_MEMO_SIZE = 8
+_lattice_memo: dict[bytes, OrthomodularLattice] = {}  # file bytes -> lattice
+_lattice_memo_lock = threading.Lock()
+
+
+def _referenced_lattice(path: str) -> OrthomodularLattice:
+    """The lattice of the file at ``path``, built once per file content."""
+    data = _read(path)
+    with _lattice_memo_lock:
+        L = _lattice_memo.get(data)
+    if L is None:
+        L = load_lattice(_parse(path, data))
+        with _lattice_memo_lock:
+            _lattice_memo[data] = L
+            if len(_lattice_memo) > _LATTICE_MEMO_SIZE:
+                del _lattice_memo[next(iter(_lattice_memo))]
+    return L
 
 
 def document_type(doc: Mapping) -> str:
@@ -86,7 +133,7 @@ def _open(doc: Mapping, kind: str, L: OrthomodularLattice | None = None):
     if doc.get("type", kind) != kind:
         raise _expected((kind,), doc["type"])
     fields = DOCUMENT_KINDS[kind][1]
-    unknown = set(doc) - fields - {"type", "__path__"}
+    unknown = set(doc) - fields - {"type"}
     if unknown:
         raise SchemaError(f"unknown fields for {kind}: {sorted(unknown)}")
     if L is not None or "lattice" not in fields:
@@ -94,9 +141,11 @@ def _open(doc: Mapping, kind: str, L: OrthomodularLattice | None = None):
     ref = doc.get("lattice")
     if isinstance(ref, dict):
         return load_lattice(ref)
+    if ref == "":
+        raise SchemaError("'lattice' must be a lattice object or a non-empty path")
     if isinstance(ref, str):
-        base = os.path.dirname(doc.get("__path__", "."))
-        return load_lattice(load_document(os.path.join(base, ref)))
+        base = os.path.dirname(getattr(doc, "path", "."))
+        return _referenced_lattice(os.path.join(base, ref))
     raise SchemaError("no lattice given and the document does not reference one")
 
 

@@ -10,6 +10,15 @@ Orthogonality is kept the same way (``perp[b]`` holds the ids below b⊥), and
 once, for the validators' additivity and mixing laws, and ``atoms`` lists the
 elements a whose down-set is {0, a}, in ascending order.
 
+The order is closed by Kahn's topological sort of the generating pairs:
+``up[i]`` is i ORed with ``up[j]`` of each successor j, in reverse
+topological order, and ``down`` the mirror image forward, O(n + |pairs|)
+big-int ORs.  The closure of an acyclic relation is antisymmetric, so the
+antisymmetry walk runs only to name the witness of a cycle.  ⊥ is checked to
+reverse the generating pairs only: a ≤ b in the closure is a chain
+a = x₀ → x₁ → … → x_k = b of pairs, and x_{t+1}⊥ ≤ x_t⊥ on each link composes
+to b⊥ ≤ a⊥.
+
 A lattice is validated completely at construction time: bounded poset,
 existence and uniqueness of all meets/joins, the ortholattice axioms and the
 orthomodular law.  After that every query is total and pure, and the object
@@ -202,6 +211,41 @@ class OrthomodularLattice:
         return BooleanSubalgebra(self, mem, tuple(atoms))
 
 
+def _raise_cycle(labels, succ) -> None:
+    """Raise NotAPoset naming the first i, then the first j, with i ≤ j ≤ i
+    and i ≠ j, where ≤ is the closure (by Warshall's algorithm) of the pairs
+    (i, j) for j in ``succ[i]``."""
+    n = len(labels)
+    up = [1 << i for i in range(n)]
+    for i, js in enumerate(succ):
+        for j in js:
+            up[i] |= 1 << j
+    for k in range(n):
+        bit = 1 << k
+        row = up[k]
+        for i in range(n):
+            if up[i] & bit:
+                up[i] |= row
+    for i in range(n):
+        for j in _bits(up[i]):
+            if i != j and up[j] >> i & 1:
+                raise NotAPoset(
+                    f"antisymmetry fails: {labels[i]} ≤ {labels[j]} ≤ {labels[i]}",
+                    witness=(labels[i], labels[j]),
+                )
+
+
+def _raise_order_reversal(labels, up, ortho) -> None:
+    """Raise NotAnOrtholattice naming the first a ≤ b with b⊥ ≰ a⊥."""
+    for a in range(len(labels)):
+        for b in _bits(up[a]):  # a ≤ b
+            if not (up[ortho[b]] >> ortho[a] & 1):
+                raise NotAnOrtholattice(
+                    f"⊥ not order-reversing on {labels[a]} ≤ {labels[b]}",
+                    witness=(labels[a], labels[b]),
+                )
+
+
 # Bound on the element count; the meet and join tables take n² entries each.
 MAX_ELEMENTS = 1024
 
@@ -233,28 +277,31 @@ def build_lattice(
             raise LatticeInputError(f"unknown element label {lab!r}")
         return index[lab]
 
-    up = [1 << i for i in range(n)]
+    # Kahn's topological sort of the generating pairs, self-pairs dropped;
+    # an element left unplaced lies on a cycle.
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
     for x, y in leq_pairs:
-        up[_id(x)] |= 1 << _id(y)
-    # Warshall closure over bitmask rows.
-    for k in range(n):
-        bit = 1 << k
-        row = up[k]
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= row
-    for i in range(n):
-        for j in _bits(up[i]):
-            if i != j and up[j] >> i & 1:
-                raise NotAPoset(
-                    f"antisymmetry fails: {labels[i]} ≤ {labels[j]} ≤ {labels[i]}",
-                    witness=(labels[i], labels[j]),
-                )
-
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
+        i, j = _id(x), _id(y)
+        if i != j:
+            succ[i].append(j)
+            indeg[j] += 1
+    order = [i for i in range(n) if not indeg[i]]
+    for i in order:  # the list grows as elements are placed
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) < n:
+        _raise_cycle(labels, succ)
+    up = [1 << i for i in range(n)]
+    for i in reversed(order):
+        for j in succ[i]:
+            up[i] |= up[j]
+    down = [1 << i for i in range(n)]
+    for i in order:
+        for j in succ[i]:
+            down[j] |= down[i]
 
     full = (1 << n) - 1
     bottoms = [i for i in range(n) if up[i] == full]
@@ -303,13 +350,9 @@ def build_lattice(
             raise NotAnOrtholattice(
                 f"{labels[a]} ∨ {labels[ortho[a]]} ≠ 1", witness=(labels[a],)
             )
-    for a in range(n):
-        for b in _bits(up[a]):  # a ≤ b
-            if not (up[ortho[b]] >> ortho[a] & 1):
-                raise NotAnOrtholattice(
-                    f"⊥ not order-reversing on {labels[a]} ≤ {labels[b]}",
-                    witness=(labels[a], labels[b]),
-                )
+    # Reversing every generating pair reverses the closure (chains compose).
+    if any(not (up[ortho[j]] >> ortho[i] & 1) for i in range(n) for j in succ[i]):
+        _raise_order_reversal(labels, up, ortho)
 
     for a in range(n):
         for b in _bits(up[a]):  # a ≤ b

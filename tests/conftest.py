@@ -17,7 +17,7 @@ def mo2():
     return q.build_catalog("mo", 2)
 
 
-def pasting_lattice():
+def pasting_raw():
     """Two three-atom Boolean blocks {a, b, c} and {c, d, e} pasted at c, so
     that c' = a∨b = d∨e: an OML that is neither Boolean nor MO-shaped."""
     atoms = "abcde"
@@ -26,7 +26,12 @@ def pasting_lattice():
         leq += [(t, u + "'") for t in block for u in block if t != u]
     ortho = [("0", "1")] + [(t, t + "'") for t in atoms]
     labels = ["0", "1", *atoms, *(t + "'" for t in atoms)]
-    return q.build_lattice(labels, leq, ortho)
+    return {"labels": labels, "leq": leq, "ortho": ortho}
+
+
+def pasting_lattice():
+    raw = pasting_raw()
+    return q.build_lattice(raw["labels"], raw["leq"], raw["ortho"])
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,12 @@ accepts a Boolean subalgebra whose members are pairwise compatible.  The
 shape oracles scan every pair of elements for order or compatibility, and
 the subalgebra oracle checks distributivity on every triple of members and
 that every member is a join of atoms.
+
+The library closes the order by a topological sort of the generating pairs
+and checks that ⊥ reverses those pairs only.  The closure oracle runs
+Warshall's algorithm over every intermediate element, walks every pair of
+the closure for antisymmetry and order reversal, and finds each meet and
+join as the bound that lies above (below) every other common bound.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from omlprob.errors import (
     C2Violation,
     C3Violation,
     NotAdditive,
+    NotAnOrtholattice,
+    NotAPoset,
     NotNormalized,
     S1Violation,
     S2Violation,
@@ -342,3 +350,77 @@ def boolean_subalgebra_exhaustive(L: OrthomodularLattice, members) -> BooleanSub
         if L.join_all(x for x in atoms if L.leq(x, a)) != a:
             raise LatticeInputError(f"{L.label(a)} is not a join of atoms")
     return BooleanSubalgebra(L, mem, atoms)
+
+
+def warshall_up(labels, leq_pairs) -> list[int]:
+    """The reflexive-transitive closure of ``leq_pairs`` as up-set bitmasks
+    by id, by Warshall's algorithm."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    up = [1 << i for i in range(len(labels))]
+    for x, y in leq_pairs:
+        up[index[x]] |= 1 << index[y]
+    for k in range(len(labels)):
+        for i in range(len(labels)):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return up
+
+
+def _members(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def antisymmetry_failure(labels, up) -> NotAPoset | None:
+    """The first i, then the first j, with i ≤ j ≤ i and i ≠ j, or None."""
+    for i in range(len(labels)):
+        for j in _members(up[i]):
+            if i != j and up[j] >> i & 1:
+                return NotAPoset(
+                    f"antisymmetry fails: {labels[i]} ≤ {labels[j]} ≤ {labels[i]}",
+                    witness=(labels[i], labels[j]),
+                )
+    return None
+
+
+def order_reversal_failure(labels, up, ortho) -> NotAnOrtholattice | None:
+    """The first a ≤ b of the closure with b⊥ ≰ a⊥, or None."""
+    for a in range(len(labels)):
+        for b in _members(up[a]):
+            if not up[ortho[b]] >> ortho[a] & 1:
+                return NotAnOrtholattice(
+                    f"⊥ not order-reversing on {labels[a]} ≤ {labels[b]}",
+                    witness=(labels[a], labels[b]),
+                )
+    return None
+
+
+def lattice_tables_exhaustive(labels, leq_pairs, ortho_pairs) -> dict:
+    """The up-sets, ⊥-sets, meet and join tables, orthogonal pairs and atoms
+    of an orthomodular lattice, from the Warshall closure of ``leq_pairs``."""
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    up = warshall_up(labels, leq_pairs)
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    ortho = [0] * n
+    for x, y in ortho_pairs:
+        ortho[index[x]], ortho[index[y]] = index[y], index[x]
+
+    def extreme(common, below):
+        """The member of the mask ``common`` that ``below`` puts every other
+        member under (``below`` is down for a meet, up for a join)."""
+        (best,) = [m for m in _members(common) if common & ~below[m] == 0]
+        return best
+
+    meet = tuple(tuple(extreme(down[a] & down[b], down) for b in range(n)) for a in range(n))
+    join = tuple(tuple(extreme(up[a] & up[b], up) for b in range(n)) for a in range(n))
+    perp = tuple(down[ortho[b]] for b in range(n))
+    zero = next(i for i in range(n) if up[i] == (1 << n) - 1)
+    return {
+        "up": tuple(up),
+        "perp": perp,
+        "meet": meet,
+        "join": join,
+        "pairs": tuple((a, b, join[a][b]) for a in range(n) for b in range(a + 1, n)
+                       if perp[a] >> b & 1),
+        "atoms": tuple(a for a in range(n) if down[a] == 1 << a | 1 << zero and a != zero),
+    }

@@ -64,6 +64,31 @@ class TestFileLoading:
         with pytest.raises(ParseError):
             files.load_document(str(path))
 
+    def test_path_field_is_refused(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_smap.json").read_text())
+        doc["lattice"] = str(DATA / "mo2_lattice.json")
+        doc["__path__"] = "/etc/passwd"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert "unknown fields for smap: ['__path__']" in capsys.readouterr().err
+        # In memory, the field would move where "mo2_lattice.json" resolves.
+        doc = json.loads((DATA / "two_blocks_smap.json").read_text())
+        doc["__path__"] = str(DATA / "p.json")
+        with pytest.raises(SchemaError, match=r"unknown fields for smap: \['__path__'\]"):
+            files.load_typed(doc)
+
+    def test_empty_lattice_reference_is_refused(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_f.json").read_text())
+        doc["lattice"] = ""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as exc:
+            files.load_typed(files.load_document(str(path)))
+        assert str(exc.value) == "'lattice' must be a lattice object or a non-empty path"
+        assert main(["validate", str(path)]) == 2
+        assert "'lattice' must be" in capsys.readouterr().err
+
     def test_documents_round_trip(self, tmp_path, example_f, example_smap):
         fdoc = files.conditional_state_document(example_f)
         fdoc["lattice"] = files.lattice_document(example_f.lattice)
