@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import files
-from .catalog import KINDS, build_catalog, random_conditional_state, random_smap, raw_structure
+from .catalog import KINDS, build_catalog, random_conditional_state, raw_structure
 from .errors import InputError, OmlError, SchemaError
 from .lattice import OrthomodularLattice
 from .observables import _checked_members, conditional_expectation, expectation

@@ -18,7 +18,6 @@ stored, and an inline lattice or a direct ``load_lattice`` always builds.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import threading
@@ -66,10 +65,12 @@ def _read(path: str) -> bytes:
 
 def _parse(path: str, data: bytes) -> dict:
     """The document in the bytes ``data`` read from ``path``, decoded as
-    ``open(path)`` would decode the file."""
+    UTF-8, the encoding RFC 8259 requires of JSON."""
     try:
-        doc = json.load(io.TextIOWrapper(io.BytesIO(data)),
-                        parse_float=parse_rational, parse_int=_json_int)
+        doc = json.loads(data.decode("utf-8"),
+                         parse_float=parse_rational, parse_int=_json_int)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -327,6 +328,6 @@ def observable_document(x: Observable, lattice_ref: str | None = None) -> dict:
 
 
 def write_document(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, ensure_ascii=False)
         fh.write("\n")

@@ -1,23 +1,22 @@
 """Finite orthomodular lattices and their derived relations.
 
-An element is just an integer id into the lattice's label table.  The order
-is kept as per-element bitmasks (``up[i]`` holds the ids above i), which makes
-the exhaustive axiom checks cheap for the desk-scale lattices this package
-handles; the meet of a and b is the one element whose down-set is
-``down[a] & down[b]``, found by dictionary lookup (joins likewise).
-Orthogonality is kept the same way (``perp[b]`` holds the ids below b⊥), and
-``orthogonal_pairs`` lists every pair a < b with a ⊥ b together with a∨b,
-once, for the validators' additivity and mixing laws, and ``atoms`` lists the
-elements a whose down-set is {0, a}, in ascending order.
+An element is just an integer id into the lattice's label table.  A lattice
+keeps one n×n table, the joins, and its orthocomplement ⊥, and reads the rest
+from them: a ≤ b iff a∨b = b, as a∨b is the least upper bound; a ⊥ b iff
+a ≤ b⊥; and a∧b = (a⊥∨b⊥)⊥ (De Morgan), as an order-reversing involution maps
+least upper bounds to greatest lower bounds.  ``orthogonal_pairs`` lists every
+pair a < b with a ⊥ b together with a∨b, once, for the validators' additivity
+and mixing laws, and ``atoms`` the elements whose down-set is {0, a}.
 
-The order is closed by Kahn's topological sort of the generating pairs:
-``up[i]`` is i ORed with ``up[j]`` of each successor j, in reverse
-topological order, and ``down`` the mirror image forward, O(n + |pairs|)
-big-int ORs.  The closure of an acyclic relation is antisymmetric, so the
-antisymmetry walk runs only to name the witness of a cycle.  ⊥ is checked to
-reverse the generating pairs only: a ≤ b in the closure is a chain
-a = x₀ → x₁ → … → x_k = b of pairs, and x_{t+1}⊥ ≤ x_t⊥ on each link composes
-to b⊥ ≤ a⊥.
+``build_lattice`` closes the order by Kahn's topological sort of the
+generating pairs into up-set bitmasks (``up[i]`` is i ORed with ``up[j]`` of
+each successor j, in reverse topological order) and down-sets the mirror
+image forward, O(n + |pairs|) big-int ORs.  An acyclic relation closes to an
+antisymmetric one, so the antisymmetry walk runs only to name a cycle.  A join
+is the element whose up-set is ``up[a] & up[b]`` and a meet the one whose
+down-set is ``down[a] & down[b]``, found by hash lookup.  ⊥ is checked
+to reverse the generating pairs only: a ≤ b in the closure is a chain
+a = x₀ → … → x_k = b of pairs, and x_{t+1}⊥ ≤ x_t⊥ on each link composes.
 
 A lattice is validated completely at construction time: bounded poset,
 existence and uniqueness of all meets/joins, the ortholattice axioms and the
@@ -63,18 +62,15 @@ class BooleanSubalgebra(NamedTuple):
 class OrthomodularLattice:
     """A finite bounded lattice with a validated orthocomplementation."""
 
-    def __init__(self, labels, up, perp, pairs, ortho, zero, one, meet_table, join_table, atoms):
+    def __init__(self, labels, index, join_table, ortho, zero, one, pairs, atoms):
         self.labels: tuple[str, ...] = labels
         self.atoms: tuple[int, ...] = atoms
-        self._up = up
-        self._perp = perp
-        self._pairs = pairs
+        self._index = index
+        self._join = join_table
         self._ortho = ortho
+        self._pairs = pairs
         self.zero: int = zero
         self.one: int = one
-        self._meet = meet_table
-        self._join = join_table
-        self._index = {lab: i for i, lab in enumerate(labels)}
 
     # -- basic queries ------------------------------------------------------
 
@@ -100,10 +96,11 @@ class OrthomodularLattice:
             raise LatticeInputError(f"unknown element label {label!r}") from None
 
     def leq(self, a: int, b: int) -> bool:
-        return bool(self._up[a] >> b & 1)
+        return self._join[a][b] == b
 
     def meet(self, a: int, b: int) -> int:
-        return self._meet[a][b]
+        o = self._ortho
+        return o[self._join[o[a]][o[b]]]
 
     def join(self, a: int, b: int) -> int:
         return self._join[a][b]
@@ -121,7 +118,8 @@ class OrthomodularLattice:
 
     def is_orthogonal(self, a: int, b: int) -> bool:
         """a ⊥ b iff a ≤ b⊥."""
-        return bool(self._perp[b] >> a & 1)
+        bp = self._ortho[b]
+        return self._join[a][bp] == bp
 
     def is_compatible(self, a: int, b: int) -> bool:
         """a ↔ b iff a = (a∧b) ∨ (a∧b⊥).
@@ -142,14 +140,17 @@ class OrthomodularLattice:
 
     def _cs_gaps(self, members):
         """Yield ``(is_join, a, b, x)`` for each missing x = a∨b or, for
-        a < b, x = a⊥∧b; a and b run over members in order, join first."""
+        a < b, x = a⊥∧b = (a∨b⊥)⊥; a and b run over members in order, join
+        first."""
+        ortho = self._ortho
         for a in members:
+            row = self._join[a]
             for b in members:
-                j = self.join(a, b)
+                j = row[b]
                 if j not in members:
                     yield True, a, b, j
-                if a != b and self.leq(a, b):
-                    r = self.meet(self._ortho[a], b)
+                if a != b and j == b:  # a < b
+                    r = ortho[row[ortho[b]]]
                     if r not in members:
                         yield False, a, b, r
 
@@ -246,7 +247,7 @@ def _raise_order_reversal(labels, up, ortho) -> None:
                 )
 
 
-# Bound on the element count; the meet and join tables take n² entries each.
+# Bound on the element count; the join table takes n² entries.
 MAX_ELEMENTS = 1024
 
 
@@ -311,15 +312,14 @@ def build_lattice(
     zero, one = bottoms[0], tops[0]
 
     # Antisymmetry makes x ↦ down[x] and x ↦ up[x] injective, so the meet
-    # of a and b is the element whose down-set is down[a] ∩ down[b], if any.
-    meet_of = {d: x for x, d in enumerate(down)}
+    # of a and b is the element whose down-set is down[a] ∩ down[b], if any;
+    # only its existence is checked, as meets are read from joins and ⊥.
+    down_sets = set(down)
     join_of = {u: x for x, u in enumerate(up)}
-    meet_table = [[0] * n for _ in range(n)]
     join_table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            m = meet_of.get(down[a] & down[b])
-            if m is None:
+            if down[a] & down[b] not in down_sets:
                 raise NotALattice(
                     f"no meet for ({labels[a]}, {labels[b]})", witness=(labels[a], labels[b])
                 )
@@ -328,7 +328,6 @@ def build_lattice(
                 raise NotALattice(
                     f"no join for ({labels[a]}, {labels[b]})", witness=(labels[a], labels[b])
                 )
-            meet_table[a][b] = meet_table[b][a] = m
             join_table[a][b] = join_table[b][a] = j
 
     ortho = [-1] * n
@@ -354,29 +353,28 @@ def build_lattice(
     if any(not (up[ortho[j]] >> ortho[i] & 1) for i in range(n) for j in succ[i]):
         _raise_order_reversal(labels, up, ortho)
 
+    # a ∨ (a⊥∧b) with a⊥∧b = (a∨b⊥)⊥, De Morgan now that ⊥ is checked.
     for a in range(n):
+        row = join_table[a]
         for b in _bits(up[a]):  # a ≤ b
-            if join_table[a][meet_table[ortho[a]][b]] != b:
+            if row[ortho[row[ortho[b]]]] != b:
                 raise NotOrthomodular(
                     f"orthomodular law fails on {labels[a]} ≤ {labels[b]}",
                     witness=(labels[a], labels[b]),
                 )
 
-    perp = tuple(down[o] for o in ortho)
     # An atom is an element whose strict down-set is {0}.
     atoms = tuple(a for a, d in enumerate(down) if d ^ (1 << a) == 1 << zero)
     pairs = tuple(
-        (a, b, join_table[a][b]) for a in range(n) for b in _bits(perp[a]) if a < b
+        (a, b, join_table[a][b]) for a in range(n) for b in _bits(down[ortho[a]]) if a < b
     )
     return OrthomodularLattice(
         labels,
-        tuple(up),
-        perp,
-        pairs,
+        index,
+        tuple(tuple(row) for row in join_table),
         tuple(ortho),
         zero,
         one,
-        tuple(tuple(row) for row in meet_table),
-        tuple(tuple(row) for row in join_table),
+        pairs,
         atoms,
     )

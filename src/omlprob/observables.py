@@ -22,7 +22,7 @@ from .errors import (
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
 from .rationals import parse_rational
-from .smap import SMap
+from .smap import SMap, _require_exact
 from .states import ConditionalState
 
 
@@ -108,9 +108,11 @@ def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
             f"{f.lattice.label(b)} is not a condition",
             witness=(f.lattice.label(b),),
         )
+    col = [f.table[(e, b)] for e in x.assignment.values()]
+    _require_exact(col, f"f(., {f.lattice.label(b)})")
     num, den = 0, 1
-    for r, e in x.assignment.items():
-        (rn, rd), (fn, fd) = r.as_integer_ratio(), f.table[(e, b)].as_integer_ratio()
+    for r, fe in zip(x.assignment, col):
+        (rn, rd), (fn, fd) = r.as_integer_ratio(), fe.as_integer_ratio()
         num, den = num * rd * fd + rn * fn * den, den * rd * fd
     return Fraction(num, den)
 

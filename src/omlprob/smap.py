@@ -219,7 +219,9 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
 
 def is_independent_product(p: SMap, b: int, a: int) -> bool:
     """b is independent of a under p iff p(b, a) = p(a, a)·p(b, b)."""
-    return p(b, a) == p(a, a) * p(b, b)
+    entries = p(b, a), p(a, a), p(b, b)
+    _require_exact(entries, "the s-map table")
+    return entries[0] == entries[1] * entries[2]
 
 
 def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
@@ -230,6 +232,8 @@ def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
     compatible pair) cannot be asymmetric and needs no product.  The test runs
     on P = D·p from ``_scale_to_integers``: P[a][b]·D = P[a][a]·P[b][b].
     """
+    for row in p.table:
+        _require_exact(row, "the s-map table")
     t, D = _scale_to_integers(p.table)
     out = []
     for a, row in enumerate(t):

@@ -113,7 +113,11 @@ def validate_state(L: OrthomodularLattice, values) -> State:
     The checks run on the values scaled to integers.
     """
     if isinstance(values, Mapping):
-        vals = tuple(parse_rational(values[a]) for a in L.elements)
+        try:
+            vals = tuple(parse_rational(values[a]) for a in L.elements)
+        except KeyError as exc:
+            a = L.label(exc.args[0])
+            raise NotNormalized(f"state table missing m({a})", witness=(a,)) from None
     else:
         vals = tuple(map(parse_rational, values))
     if len(vals) != len(L):

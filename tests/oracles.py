@@ -395,8 +395,9 @@ def order_reversal_failure(labels, up, ortho) -> NotAnOrtholattice | None:
 
 
 def lattice_tables_exhaustive(labels, leq_pairs, ortho_pairs) -> dict:
-    """The up-sets, ⊥-sets, meet and join tables, orthogonal pairs and atoms
-    of an orthomodular lattice, from the Warshall closure of ``leq_pairs``."""
+    """The up-sets, ⊥-sets, meet and join tables, orthogonal pairs, atoms,
+    ⊥ and 0 of an orthomodular lattice, from the Warshall closure of
+    ``leq_pairs``."""
     n = len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     up = warshall_up(labels, leq_pairs)
@@ -423,4 +424,6 @@ def lattice_tables_exhaustive(labels, leq_pairs, ortho_pairs) -> dict:
         "pairs": tuple((a, b, join[a][b]) for a in range(n) for b in range(a + 1, n)
                        if perp[a] >> b & 1),
         "atoms": tuple(a for a in range(n) if down[a] == 1 << a | 1 << zero and a != zero),
+        "ortho": tuple(ortho),
+        "zero": zero,
     }

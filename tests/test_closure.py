@@ -1,10 +1,11 @@
 """The order closure of ``build_lattice`` against the Warshall oracle.
 
 ``build_lattice`` closes the generating pairs by a topological sort and
-checks order reversal on the pairs only.  Every table it derives is checked
-against ``lattice_tables_exhaustive`` on the catalog kinds and the pasting of
-two Boolean blocks, given as listed, as cover pairs only, shuffled with
-duplicates, and with self-pairs added.  Cycles and a ⊥ that fails to reverse
+checks order reversal on the pairs only.  Every query the lattice answers
+from its join table and ⊥ (≤, meet, join, orthogonality, orthogonal pairs,
+atoms) is checked on every pair against ``lattice_tables_exhaustive`` on the
+catalog kinds and the pasting of two Boolean blocks, given as listed, as
+cover pairs only, shuffled with duplicates, and with self-pairs added.  Cycles and a ⊥ that fails to reverse
 the order must raise the failure the exhaustive walks name.
 """
 
@@ -77,10 +78,15 @@ def test_tables_match_the_warshall_oracle(kind, variant):
     leq = VARIANTS[variant](raw["labels"], raw["leq"])
     L = q.build_lattice(raw["labels"], leq, raw["ortho"])
     want = lattice_tables_exhaustive(raw["labels"], leq, raw["ortho"])
-    assert L._up == want["up"]
-    assert L._perp == want["perp"]
-    assert L._meet == want["meet"]
-    assert L._join == want["join"]
+    up, perp = want["up"], want["perp"]
+
+    def table(query):
+        return tuple(tuple(query(a, b) for b in L.elements) for a in L.elements)
+
+    assert table(L.leq) == table(lambda a, b: bool(up[a] >> b & 1))
+    assert table(L.is_orthogonal) == table(lambda a, b: bool(perp[b] >> a & 1))
+    assert table(L.meet) == want["meet"]
+    assert table(L.join) == want["join"]
     assert L.orthogonal_pairs == want["pairs"]
     assert L.atoms == want["atoms"]
 

@@ -112,17 +112,26 @@ def test_expectation_over_coprime_denominators():
 
 
 def test_float_entries_are_refused(example_f, example_smap, mo2):
-    """Only int and Fraction entries are converted; a bool is refused too."""
+    """Only int and Fraction entries are converted, scanned, tested for
+    independence or summed into an expectation; a bool is refused too."""
     a = mo2.id_of("a")
+    x_on_a = q.make_observable(mo2, [(1, a), (2, mo2.ortho(a))])
     for bad in (0.4, "2/5", None, True):
         f = ConditionalState(mo2, example_f.conditions, example_f.table | {(a, mo2.one): bad})
         with pytest.raises(ParseError):
             q.conditional_to_smap(f)
+        with pytest.raises(ParseError):
+            q.expectation(f, x_on_a, mo2.one)
         for x in (a, mo2.one):
             rows = [list(r) for r in example_smap.table]
             rows[x][x] = bad
+            p = SMap(mo2, tuple(map(tuple, rows)))
             with pytest.raises(ParseError):
-                q.smap_to_conditional(SMap(mo2, tuple(map(tuple, rows))))
+                q.smap_to_conditional(p)
+            with pytest.raises(ParseError):
+                q.scan_asymmetric_pairs(p)
+            with pytest.raises(ParseError):
+                q.is_independent_product(p, mo2.one, a)
 
 
 def test_no_solution_names_the_failing_member(example_f, mo2):

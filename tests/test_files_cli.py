@@ -2,9 +2,12 @@ import json
 import pathlib
 import re
 import shlex
+import shutil
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import omlprob as q
 from omlprob import cli, errors, files
@@ -395,6 +398,23 @@ class TestValidateCommand:
         assert "nested too deeply" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("referenced", [False, True], ids=["document", "lattice"])
+    def test_invalid_utf8_exits_2(self, capsys, tmp_path, referenced):
+        bad = b'{"labels": ["\xff"]}'
+        path = tmp_path / "doc.json"
+        if referenced:
+            (tmp_path / "lattice.json").write_bytes(bad)
+            doc = json.loads((DATA / "two_blocks_smap.json").read_text(encoding="utf-8"))
+            doc["lattice"] = "lattice.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            path.write_bytes(bad)
+        bad_path = path.with_name("lattice.json") if referenced else path
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error = {bad_path} is not valid UTF-8: " in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
     def test_huge_string_literal_exits_2(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_smap.json").read_text())
         doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
@@ -738,3 +758,24 @@ class TestGenCommand:
         assert code == 0
         code, _ = run(capsys, "validate", str(tmp_path / "o6_lattice.json"))
         assert code == 1
+
+
+DOCUMENTS = sorted(p.name for p in DATA.glob("*.json"))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(DOCUMENTS), st.booleans(), st.integers(min_value=0),
+       st.integers(0x80, 0xFF))
+def test_damaged_data_documents_exit_with_a_report(name, cut, at, byte):
+    """Each data document with a non-ASCII byte inserted, or cut short, is
+    validated next to the intact others: exit 0, 1 or 2, never an internal
+    error (3)."""
+    data = (DATA / name).read_bytes()
+    at %= len(data) + 1
+    with tempfile.TemporaryDirectory() as tmp:
+        for other in DOCUMENTS:
+            shutil.copy(DATA / other, tmp)
+        damaged = data[:at] if cut else data[:at] + bytes([byte]) + data[at:]
+        pathlib.Path(tmp, name).write_bytes(damaged)
+        code = main(["validate", *(str(pathlib.Path(tmp, d)) for d in DOCUMENTS)])
+    assert code in (0, 1, 2)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import omlprob as q
-from omlprob.catalog import mo_raw, o6_raw
+from omlprob.catalog import mo_raw, o6_raw, raw_structure
 from omlprob.errors import (
     LatticeInputError,
     NotAConditionalSystem,
@@ -15,7 +15,22 @@ from omlprob.errors import (
     ZeroGenerated,
 )
 
-CS_KINDS = {kind: q.build_catalog(*kind) for kind in (("boolean", 3), ("mo", 3))}
+from conftest import pasting_raw
+from oracles import lattice_tables_exhaustive
+
+
+def with_oracle(raw):
+    """The lattice of ``raw`` and its tables built by the Warshall oracle."""
+    args = raw["labels"], raw["leq"], raw["ortho"]
+    return q.build_lattice(*args), lattice_tables_exhaustive(*args)
+
+
+CS_KINDS = {
+    "boolean3": with_oracle(raw_structure("boolean", 3)),
+    "mo3": with_oracle(raw_structure("mo", 3)),
+    "pasting": with_oracle(pasting_raw()),
+}
+MO2_TABLES = with_oracle(raw_structure("mo", 2))[1]  # ids as in the mo2 fixture
 
 
 def brute_meet(L, a, b):
@@ -33,19 +48,38 @@ def brute_join(L, a, b):
     return best[0]
 
 
-def brute_cs_closure(L, seed):
-    """Oracle: fixed-point closure under join and relative complement."""
+def brute_cs_closure(T, seed):
+    """Oracle: fixed-point closure under join and relative complement, on the
+    tables ``T`` of ``lattice_tables_exhaustive``."""
+    join, meet, up, ortho = T["join"], T["meet"], T["up"], T["ortho"]
     members = set(seed)
     while True:
         new = set()
         for a in members:
             for b in members:
-                new.add(L.join(a, b))
-                if a != b and L.leq(a, b):
-                    new.add(L.meet(L.ortho(a), b))
+                new.add(join[a][b])
+                if a != b and up[a] >> b & 1:
+                    new.add(meet[ortho[a]][b])
         if new <= members:
             return frozenset(members)
         members |= new
+
+
+def brute_cs_failure(T, labels, members):
+    """Oracle: (message, witness) of the first failing conditional-system
+    axiom, or None.  0 comes first, then a and b over members in iteration
+    order, the join before the relative complement, on the tables ``T``."""
+    join, meet, up, ortho, zero = T["join"], T["meet"], T["up"], T["ortho"], T["zero"]
+    if zero in members:
+        return "conditional system contains 0", (labels[zero],)
+    for a in members:
+        for b in members:
+            la, lb = labels[a], labels[b]
+            if join[a][b] not in members:
+                return f"not join-closed: {la} ∨ {lb} missing", (la, lb)
+            if a != b and up[a] >> b & 1 and meet[ortho[a]][b] not in members:
+                return f"not closed under relative complement of {la} in {lb}", (la, lb)
+    return None
 
 
 class TestBuild:
@@ -244,13 +278,13 @@ class TestConditionalSystems:
         a = mo2.id_of("a")
         got = mo2.generate_cs({a, mo2.ortho(a)})
         assert got == frozenset({a, mo2.ortho(a), mo2.one})
-        assert got == brute_cs_closure(mo2, {a, mo2.ortho(a)})
+        assert got == brute_cs_closure(MO2_TABLES, {a, mo2.ortho(a)})
 
     def test_cross_block(self, mo2):
         a, b = mo2.id_of("a"), mo2.id_of("b")
         got = mo2.generate_cs({a, b})
         want = frozenset({a, b, mo2.ortho(a), mo2.ortho(b), mo2.one})
-        assert got == want == brute_cs_closure(mo2, {a, b})
+        assert got == want == brute_cs_closure(MO2_TABLES, {a, b})
 
     def test_zero_in_seed_rejected(self, mo2):
         with pytest.raises(ZeroGenerated):
@@ -258,11 +292,11 @@ class TestConditionalSystems:
 
     @given(st.integers(0, 2**20))
     def test_random_seeds_match_oracle(self, bits):
-        L = q.build_catalog("boolean", 3)
+        L, T = CS_KINDS["boolean3"]
         seed = {x for x in L.elements if x != L.zero and bits >> x & 1}
         if not seed:
             seed = {L.one}
-        assert L.generate_cs(seed) == brute_cs_closure(L, seed)
+        assert L.generate_cs(seed) == brute_cs_closure(T, seed)
 
     @pytest.mark.parametrize("members, message, witness", [
         (("0", "1"), "conditional system contains 0", ("0",)),
@@ -276,9 +310,9 @@ class TestConditionalSystems:
         assert str(exc.value) == message
         assert exc.value.witness == witness
 
-    @given(st.sampled_from(sorted(CS_KINDS)), st.integers(0, 2**8 - 1))
+    @given(st.sampled_from(sorted(CS_KINDS)), st.integers(0, 2**12 - 1))
     def test_check_accepts_exactly_the_closed_sets(self, kind, bits):
-        L = CS_KINDS[kind]
+        L, _ = CS_KINDS[kind]
         members = frozenset(x for x in L.elements if x != L.zero and bits >> x & 1)
         assume(members)
         try:
@@ -288,6 +322,21 @@ class TestConditionalSystems:
         else:
             closed = True
         assert closed == (L.generate_cs(members) == members)
+
+    @pytest.mark.parametrize("kind", sorted(CS_KINDS))
+    def test_check_and_closure_match_the_oracle_on_every_member_set(self, kind):
+        L, T = CS_KINDS[kind]
+        for bits in range(1 << len(L)):
+            members = frozenset(x for x in L.elements if bits >> x & 1)
+            try:
+                L.check_conditional_system(members)
+            except NotAConditionalSystem as exc:
+                got = str(exc), exc.witness
+            else:
+                got = None
+            assert got == brute_cs_failure(T, L.labels, members)
+            if members and L.zero not in members:
+                assert L.generate_cs(members) == brute_cs_closure(T, members)
 
 
 @pytest.mark.parametrize("kind,n", [("boolean", 1), ("boolean", 2), ("boolean", 4),

@@ -47,6 +47,13 @@ class TestValidateState:
             q.validate_state(mo2, vals)
         assert set(exc.value.witness) == {"a", "a'"}
 
+    def test_partial_mapping_names_the_first_missing_element(self, mo2):
+        first = mo2.label(next(a for a in mo2.elements if a not in (mo2.zero, mo2.one)))
+        with pytest.raises(NotNormalized) as exc:
+            q.validate_state(mo2, {mo2.zero: 0, mo2.one: 1})
+        assert str(exc.value) == f"state table missing m({first})"
+        assert exc.value.witness == (first,)
+
     def test_out_of_range(self, mo2):
         vals = mo2_state(mo2, F(2, 5), F(3, 10))
         vals[mo2.id_of("b")] = F(-1, 10)
