@@ -216,7 +216,10 @@ def load_conditional_state(
         raise SchemaError("'table' must be a list of [element, condition, value] triples")
     table, read = {}, _cell_reader()
     for b, a, v in raw:
-        table[(L.id_of(b), L.id_of(a))] = read(v)
+        key = L.id_of(b), L.id_of(a)
+        if key in table:
+            raise SchemaError(f"'table' gives f({b}, {a}) twice")
+        table[key] = read(v)
     # Rows the state axioms force may be omitted: f(0, a) = 0, f(1, a) = 1.
     for a in cs:
         table.setdefault((L.zero, a), Fraction(0))
@@ -231,8 +234,9 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
         raise SchemaError("'table' must be an object of row objects keyed by label")
     partial, read = {}, _cell_reader()
     for rlab, row in raw.items():
+        a = L.id_of(rlab)
         for clab, v in row.items():
-            partial[(L.id_of(rlab), L.id_of(clab))] = read(v)
+            partial[(a, L.id_of(clab))] = read(v)
     # Every cell is a Fraction by now, so the rows skip validate_smap's coercion.
     return _check_smap(L, _mapping_rows(L, complete_smap_table(L, partial)))
 

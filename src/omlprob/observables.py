@@ -21,8 +21,8 @@ from .errors import (
     NotAPartition,
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
-from .rationals import parse_rational
-from .smap import SMap, _require_exact
+from .rationals import parse_rational, require_exact
+from .smap import SMap
 from .states import ConditionalState
 
 
@@ -109,7 +109,7 @@ def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
             witness=(f.lattice.label(b),),
         )
     col = [f.table[(e, b)] for e in x.assignment.values()]
-    _require_exact(col, f"f(., {f.lattice.label(b)})")
+    require_exact(col, f"f(., {f.lattice.label(b)})")
     num, den = 0, 1
     for r, fe in zip(x.assignment, col):
         (rn, rd), (fn, fd) = r.as_integer_ratio(), fe.as_integer_ratio()

@@ -9,9 +9,12 @@ A literal is refused before any ``Fraction`` is built if it has more than
 ±``MAX_EXPONENT``: the ten bytes "1e3000000" would otherwise become a
 three-million-digit integer.  An ``int`` and the numerator and denominator of
 a ``Fraction`` are held to the same bound, so a ``Fraction`` reads back.
+A ``Decimal`` is read as its string, so NaN and Infinity are refused.  This
+is the one gate by which a caller's number becomes a ``Fraction``.
 """
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import NoExactDecimal, ParseError
@@ -37,7 +40,7 @@ def _check_literal_size(text: str) -> None:
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an int, Fraction, "p/q" string or decimal string exactly."""
+    """Parse an int, Fraction, Decimal, "p/q" string or decimal string exactly."""
     # str first: the Fraction test goes through ABCMeta.__instancecheck__.
     if isinstance(value, str):
         _check_literal_size(value)
@@ -53,9 +56,7 @@ def parse_rational(value) -> Fraction:
         if abs(value.numerator) < _INT_BOUND and value.denominator < _INT_BOUND:
             return value
         raise ParseError(_TOO_LONG)
-    if isinstance(value, bool):
-        raise ParseError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         if not -_INT_BOUND < value < _INT_BOUND:
             raise ParseError(_TOO_LONG)
         return Fraction(value)
@@ -63,7 +64,17 @@ def parse_rational(value) -> Fraction:
         # Floats only appear if a JSON loader was not configured with
         # parse_float=Fraction; refuse rather than guess the intended decimal.
         raise ParseError(f"refusing inexact float literal: {value!r}")
+    if isinstance(value, Decimal):
+        return parse_rational(str(value))
     raise ParseError(f"not a rational: {value!r}")
+
+
+def require_exact(values, where: str) -> None:
+    """ParseError unless each value's type is int or Fraction: the conversions
+    call as_integer_ratio(), which a bool and a float have too."""
+    if not {int, Fraction}.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in (int, Fraction))
+        raise ParseError(f"refusing {bad!r} in {where}: entries must be int or Fraction")
 
 
 def has_finite_decimal(q: Fraction) -> bool:

@@ -14,7 +14,6 @@ from typing import Mapping, NamedTuple
 
 from .errors import (
     DomainTooSmall,
-    ParseError,
     S1Violation,
     S2Violation,
     S3Violation,
@@ -22,7 +21,7 @@ from .errors import (
     NotAConditionalSystem,
 )
 from .lattice import OrthomodularLattice
-from .rationals import parse_rational
+from .rationals import parse_rational, require_exact
 from .states import (
     ONE,
     ZERO,
@@ -158,14 +157,6 @@ def nu_state(p: SMap) -> State:
     return validate_state(p.lattice, [p(b, b) for b in p.lattice.elements])
 
 
-def _require_exact(values, where: str) -> None:
-    """ParseError unless each value's type is int or Fraction: the conversions
-    call as_integer_ratio(), which a bool and a float have too."""
-    if not {int, Fraction}.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in (int, Fraction))
-        raise ParseError(f"refusing {bad!r} in {where}: entries must be int or Fraction")
-
-
 def smap_to_conditional(p: SMap) -> ConditionalState:
     """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b), so
     section b is column b of P = D·p (``_scale_to_integers``) over P[b][b]."""
@@ -179,7 +170,7 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
             witness=exc.witness,
         ) from exc
     for row in p.table:
-        _require_exact(row, "the s-map table")
+        require_exact(row, "the s-map table")
     P, _ = _scale_to_integers(p.table)
     sections, R, D = {}, {}, {}
     for b in cs:
@@ -210,7 +201,7 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
     for b, m in zip(L.elements, marginal):
         if m != 0:
             col = [m] + [tab[(a, b)] for a in L.elements]
-            _require_exact(col, f"f(., {L.label(b)})")
+            require_exact(col, f"f(., {L.label(b)})")
             (mn, md), *ratios = [x.as_integer_ratio() for x in col]
             for row, (n, d) in zip(rows, ratios):
                 row[b] = Fraction(n * mn, d * md)
@@ -220,7 +211,7 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
 def is_independent_product(p: SMap, b: int, a: int) -> bool:
     """b is independent of a under p iff p(b, a) = p(a, a)·p(b, b)."""
     entries = p(b, a), p(a, a), p(b, b)
-    _require_exact(entries, "the s-map table")
+    require_exact(entries, "the s-map table")
     return entries[0] == entries[1] * entries[2]
 
 
@@ -233,7 +224,7 @@ def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
     on P = D·p from ``_scale_to_integers``: P[a][b]·D = P[a][a]·P[b][b].
     """
     for row in p.table:
-        _require_exact(row, "the s-map table")
+        require_exact(row, "the s-map table")
     t, D = _scale_to_integers(p.table)
     out = []
     for a, row in enumerate(t):

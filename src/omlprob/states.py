@@ -4,12 +4,12 @@ All probabilities are exact ``Fraction`` values; independence and the mixing
 law C3 are equality statements, so nothing here tolerates floating point.
 The axioms of states, conditional states and s-maps are checked on tables
 scaled to integers by the lcm of their denominators (``_scale_to_integers``);
-reports and returned objects hold the ``Fraction`` values.
+reports and returned objects hold the ``Fraction`` values.  A caller's
+numbers pass ``rationals.parse_rational`` and its size bound.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -25,7 +25,6 @@ from .errors import (
     NotAdditive,
     NotNormalized,
     NotOrthogonalFamily,
-    ParseError,
     PreconditionFCA,
     WeightsNotNormalized,
     ZeroMassCondition,
@@ -39,24 +38,6 @@ ZERO = Fraction(0)
 # Bound on the common denominator the axioms are checked over (see
 # _scale_to_integers).  Catalog and benchmark tables need 20 bits or fewer.
 MAX_SCALE_BITS = 1024
-
-
-def _fraction(v) -> Fraction:
-    # Without parse_rational's digit bound, which a quotient p(a, b)/p(b, b) in
-    # "p/q" form can pass; an exponent literal, int or Decimal is no quotient.
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, Decimal):
-        return parse_rational(str(v))
-    if (isinstance(v, str) and ("e" in v or "E" in v)
-            or isinstance(v, int) and not isinstance(v, bool)):
-        return parse_rational(v)
-    if not isinstance(v, (bool, float)):
-        try:
-            return Fraction(v)
-        except (TypeError, ValueError, ZeroDivisionError):
-            pass
-    raise ParseError(f"not an exact rational: {v!r}")
 
 
 def _scale_to_integers(rows):
@@ -199,16 +180,28 @@ def validate_conditional_state(
     keeping those with both ends in cs, with b innermost, so the first
     failure reported is the first one an exhaustive walk over families of
     increasing size would meet.
+
+    An entry that is not a ``Fraction`` is read by ``parse_rational``, and a
+    ``Fraction`` is held to its bound as follows.  An unscaled section is
+    read through ``parse_rational`` before any check.  A scaled one has
+    D_a < 2**1024 < 10**1000, and an entry n/d that passes C1 has |n| ≤ d.
+    A section failing C1, C2 or additivity is read by the walk before its
+    message is built, and C3 runs once every section has passed.  So every
+    value accepted or printed is within the bound; a section failing C1 is
+    still reported before an oversized entry later in the walk.
     """
     L.check_conditional_system(cs)
     sections, R, D = {}, {}, {}
     for a in cs:
         try:
-            sections[a] = [_fraction(table[(b, a)]) for b in L.elements]
+            sections[a] = [x if type(x := table[(b, a)]) is Fraction else parse_rational(x)
+                           for b in L.elements]
         except KeyError as exc:
             b, a = (L.label(x) for x in exc.args[0])
             raise C1Violation(f"table missing f({b}, {a})", witness=(b, a)) from None
         (R[a],), D[a] = _scale_to_integers((sections[a],))
+        if D[a] is ONE:  # unscaled: its denominators are not yet bounded
+            sections[a] = list(map(parse_rational, sections[a]))
     return _check_conditional_state(L, cs, sections, R, D)
 
 

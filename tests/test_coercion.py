@@ -1,22 +1,26 @@
-"""The validators and builders read their numbers through ``parse_rational``.
+"""Every validator and builder reads its numbers through ``parse_rational``.
 
-``validate_conditional_state`` is the exception: its entries are quotients
-whose "p/q" form may pass the literal-size bound, so it refuses ``bool``,
-``float`` and non-rational entries, not long "p/q" strings.  A literal with
-an exponent, an ``int`` or a ``Decimal`` is no quotient, so it keeps the
-bounds.  An oversized ``Fraction`` entry there breaks C1, and the walk that
-names the failing section reads it through ``parse_rational``.  Every
-refusal is a ``ParseError``; none is a raw ``ValueError`` from formatting a
-value past Python's 4300-digit ``int`` -> ``str`` limit.
+``Fraction``, ``int``, ``Decimal`` and ``"p/q"`` or decimal strings are
+accepted exactly; ``bool``, ``float``, non-rationals and any literal,
+``int``, ``Decimal`` or ``Fraction`` past the size bound (1000 digits on a
+side, exponents within ±1000) raise ``ParseError``, at every entry point.
+``validate_conditional_state`` takes a ``Fraction`` entry as it is and holds
+it to the bound through its scaling and C1 checks, so it refuses what
+"``parse_rational`` every entry, then validate" refuses.  No refusal is a raw
+``ValueError`` from formatting a value past Python's 4300-digit ``int`` ->
+``str`` limit.
 """
 
 from decimal import Decimal
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import omlprob as q
-from omlprob.errors import ParseError
+from omlprob.errors import OmlError, ParseError
+from omlprob.rationals import MAX_DIGITS, format_rational, has_finite_decimal, parse_rational
 from omlprob.smap import complete_smap_table
 
 from conftest import two_blocks_table
@@ -56,41 +60,142 @@ def _entry_points(L):
 
 
 NAMES = sorted(_entry_points(q.build_catalog("mo", 2)))
-BOUNDED = [name for name in NAMES if name != "validate_conditional_state"]
+REFUSED = {
+    "bool": True,
+    "float": 1.0,
+    "long": "1" * 1001,
+    "huge-int": 10**5000,
+    "huge-fraction": F(10**5000),
+    "junk": "zz",
+    "zero-denominator": "1/0",
+    "none": None,
+    "exponent": "1e1001",
+    "huge-exponent": "1e5000",
+    "huge-decimal": Decimal("1e100000"),
+    "decimal-exponent": Decimal("1e5000"),
+    "infinite-decimal": Decimal("Infinity"),
+    "nan-decimal": Decimal("NaN"),
+    # Equal to 1, but 1002 digits on each side of the slash.
+    "long-quotient": "1" + "0" * 1001 + "/1" + "0" * 1001,
+}
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_exact_forms_agree(mo2, name):
     call = _entry_points(mo2)[name]
     want = call(F(1))
-    assert call(1) == want
-    assert call("1/1") == want
+    for one in (1, "1/1", Decimal("1"), Decimal("1.000"), Decimal("0.1E1")):
+        assert call(one) == want
 
 
-@pytest.mark.parametrize("name", BOUNDED)
-@pytest.mark.parametrize(
-    "bad", [True, 1.0, "1" * 1001, 10**5000, F(10**5000)],
-    ids=["bool", "float", "long", "huge-int", "huge-fraction"],
-)
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("bad", REFUSED.values(), ids=REFUSED)
 def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
     with pytest.raises(ParseError):
         _entry_points(mo2)[name](bad)
 
 
+def _unscaled_table(L, den=2**1025 + 1):
+    """A conditional state on mo(2) whose sections at 1, b and b' hold
+    m(a) = 1/den, past the 2**1024 scaling bound: f(x, c) = m(x) for x in the
+    other block than c, and f(x, 1) = m(x)."""
+    a, ap, b, bp = (L.id_of(x) for x in ("a", "a'", "b", "b'"))
+    m = {a: F(1, den), ap: 1 - F(1, den), b: F(3, 10), bp: F(7, 10)}
+    block = {a: (a, ap), ap: (a, ap), b: (b, bp), bp: (b, bp), L.one: ()}
+    table = {}
+    for c, own in block.items():
+        for x in m:
+            table[(x, c)] = F(x == c) if x in own else m[x]
+        table[(L.zero, c)], table[(L.one, c)] = F(0), F(1)
+    return frozenset(block), table
+
+
 @pytest.mark.parametrize(
-    "bad",
-    [True, 1.0, "zz", "1/0", None, "1e1001", "1e5000", 10**5000, F(10**5000),
-     Decimal("1e100000"), Decimal("1e5000"), Decimal("Infinity"), Decimal("NaN")],
-    ids=["bool", "float", "junk", "zero-denominator", "none", "exponent", "huge-exponent",
-         "huge-int", "huge-fraction", "huge-decimal", "decimal-exponent", "infinite-decimal",
-         "nan-decimal"],
+    "bad", [v for k, v in REFUSED.items() if k != "long-quotient"],
+    ids=[k for k in REFUSED if k != "long-quotient"],
 )
 def test_conditional_state_refuses_inexact_inputs(mo2, bad):
+    """The refusals hold in a section past the scaling bound too, where the
+    integer checks do not bound a ``Fraction`` entry."""
+    cs, tab = _unscaled_table(mo2)
+    b = mo2.id_of("b")
+    assert q.validate_conditional_state(mo2, cs, tab).table == tab
     with pytest.raises(ParseError):
-        _entry_points(mo2)["validate_conditional_state"](bad)
+        q.validate_conditional_state(mo2, cs, tab | {(mo2.one, b): bad})
 
 
-def test_conditional_state_reads_decimals_exactly(mo2):
-    call = _entry_points(mo2)["validate_conditional_state"]
-    want = call(F(1))
-    assert call(Decimal("1")) == call(Decimal("1.000")) == call(Decimal("0.1E1")) == want
+def test_oversized_quotients_with_a_valid_marginal_are_refused(mo2):
+    """f(a, 1) = N/(2N+1) and f(a', 1) = (N+1)/(2N+1) sum to 1, so the
+    section at 1 passes C1 and C3 fails; its message would print
+    5000-digit integers."""
+    cs, tab = two_blocks_table(mo2)
+    a, ap = mo2.id_of("a"), mo2.id_of("a'")
+    N = 10**5000
+    tab |= {(a, mo2.one): F(N, 2 * N + 1), (ap, mo2.one): F(N + 1, 2 * N + 1)}
+    with pytest.raises(ParseError, match="more than 1000 digits"):
+        q.validate_conditional_state(mo2, cs, tab)
+
+
+def test_mixture_past_the_bound_is_refused(mo2):
+    """Weights and states within the bound can mix to entries past it: f(b, 1)
+    here has about 2000 digits on each side of the slash."""
+    a, ap, b, bp = (mo2.id_of(x) for x in ("a", "a'", "b", "b'"))
+
+    def state(atom, mb):
+        values = dict.fromkeys(mo2.elements, F(0)) | {atom: 1, mo2.one: 1, b: mb, bp: 1 - mb}
+        return q.validate_state(mo2, values)
+
+    P = 10**999
+    alphas = [state(a, F(1, P + 7)), state(ap, F(1, P + 9))]
+    with pytest.raises(ParseError, match="more than 1000 digits"):
+        q.build_conditional_state(mo2, [a, ap], alphas, [F(1, P + 11), 1 - F(1, P + 11)])
+
+
+@lru_cache(maxsize=None)
+def _base(kind, n, seed):
+    """A valid conditional-state table: a catalog one, or the mo(2) table of
+    ``_unscaled_table`` (``kind == "unscaled"``)."""
+    L = q.build_catalog("mo" if kind == "unscaled" else kind, n)
+    if kind == "unscaled":
+        return L, *_unscaled_table(L, 2**1025 + 2 * seed + 1)
+    f = q.random_conditional_state(L, seed)
+    return L, f.conditions, f.table
+
+
+def _outcome(call):
+    try:
+        return call()
+    except OmlError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("mo", 2), ("mo", 3), ("boolean", 2), ("boolean", 3), ("unscaled", 2)]),
+    st.integers(0, 9),
+    st.integers(MAX_DIGITS - 10, MAX_DIGITS + 10),
+    st.sampled_from(["quotient", "decimal", "Decimal"]),
+    st.data(),
+)
+def test_oversized_entry_is_refused_as_if_every_entry_were_parsed(kind, seed, digits, form, data):
+    """One entry is written with ``digits`` digits on its longer side and the
+    same value, so the only fault the table can have is that entry's size.
+    The validator's result or error equals the one of parsing every entry
+    with ``parse_rational`` first and validating the ``Fraction``s."""
+    L, cs, base = _base(*kind, seed)
+    key = data.draw(st.sampled_from(sorted(base)))
+    v = base[key]
+    if form == "quotient" or not has_finite_decimal(v):
+        k = max(0, digits - len(str(max(abs(v.numerator), v.denominator))))
+        entry = f"{v.numerator * 10**k}/{v.denominator * 10**k}"
+    else:
+        text = format_rational(v, decimal=True)
+        text += ("" if "." in text else ".") + "0" * max(0, digits - sum(map(str.isdigit, text)))
+        entry = text if form == "decimal" else Decimal(text)
+    table = base | {key: entry}
+    got = _outcome(lambda: q.validate_conditional_state(L, cs, table))
+    want = _outcome(lambda: q.validate_conditional_state(
+        L, cs, {k: parse_rational(x) for k, x in table.items()}
+    ))
+    assert got == want
+    assert want == q.validate_conditional_state(L, cs, base) or want[0] is ParseError

@@ -335,6 +335,29 @@ def test_equal_literals_load_to_equal_entries(tmp_path):
     assert p.table == want.table
 
 
+def test_unknown_row_label_exits_2(capsys, tmp_path):
+    """An s-map row whose label is no element is refused, even with no cells."""
+    doc = _with_cells("two_blocks_smap.json", {})
+    doc["table"]["zz"] = {}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "error = unknown element label 'zz'\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1/7", "2/5"], ids=["conflicting", "consistent"])
+def test_repeated_conditional_state_entry_exits_2(capsys, tmp_path, value):
+    """A second f(a, 1) is refused, whether or not it equals the first."""
+    doc = _with_cells("two_blocks_f.json", {})
+    doc["table"].append(["a", "1", value])
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"^'table' gives f\(a, 1\) twice$"):
+        files.load_typed(files.load_document(str(path)))
+    assert main(["validate", str(path)]) == 2
+    assert "error = 'table' gives f(a, 1) twice\n" in capsys.readouterr().err
+
+
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     """Every command of the README's CLI block exits 0, in order, with its
     /tmp paths moved under a fresh directory."""
