@@ -110,6 +110,19 @@ def _unscaled_table(L, den=2**1025 + 1):
     return frozenset(block), table
 
 
+def test_conditional_state_reads_decimals_exactly(mo2):
+    """A ``Decimal`` entry reads as its exact value, in a scaled section and
+    in one left unscaled past the 2**1024 bound."""
+    call = _entry_points(mo2)["validate_conditional_state"]
+    want = call(F(1))
+    assert call(Decimal("1")) == call(Decimal("1.000")) == call(Decimal("0.1E1")) == want
+    cs, tab = _unscaled_table(mo2)
+    b = mo2.id_of("b")
+    want = q.validate_conditional_state(mo2, cs, tab).table
+    for v in (Decimal("0.3"), Decimal("0.300"), Decimal("3E-1")):
+        assert q.validate_conditional_state(mo2, cs, tab | {(b, mo2.one): v}).table == want
+
+
 @pytest.mark.parametrize(
     "bad", [v for k, v in REFUSED.items() if k != "long-quotient"],
     ids=[k for k in REFUSED if k != "long-quotient"],
