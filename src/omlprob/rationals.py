@@ -56,7 +56,9 @@ def parse_rational(value) -> Fraction:
         if abs(value.numerator) < _INT_BOUND and value.denominator < _INT_BOUND:
             return value
         raise ParseError(_TOO_LONG)
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, bool):
+        raise ParseError(f"not a rational: {value!r}")
+    if isinstance(value, int):
         if not -_INT_BOUND < value < _INT_BOUND:
             raise ParseError(_TOO_LONG)
         return Fraction(value)

@@ -180,28 +180,16 @@ def validate_conditional_state(
     keeping those with both ends in cs, with b innermost, so the first
     failure reported is the first one an exhaustive walk over families of
     increasing size would meet.
-
-    An entry that is not a ``Fraction`` is read by ``parse_rational``, and a
-    ``Fraction`` is held to its bound as follows.  An unscaled section is
-    read through ``parse_rational`` before any check.  A scaled one has
-    D_a < 2**1024 < 10**1000, and an entry n/d that passes C1 has |n| ≤ d.
-    A section failing C1, C2 or additivity is read by the walk before its
-    message is built, and C3 runs once every section has passed.  So every
-    value accepted or printed is within the bound; a section failing C1 is
-    still reported before an oversized entry later in the walk.
     """
     L.check_conditional_system(cs)
     sections, R, D = {}, {}, {}
     for a in cs:
         try:
-            sections[a] = [x if type(x := table[(b, a)]) is Fraction else parse_rational(x)
-                           for b in L.elements]
+            sections[a] = [parse_rational(table[(b, a)]) for b in L.elements]
         except KeyError as exc:
             b, a = (L.label(x) for x in exc.args[0])
             raise C1Violation(f"table missing f({b}, {a})", witness=(b, a)) from None
         (R[a],), D[a] = _scale_to_integers((sections[a],))
-        if D[a] is ONE:  # unscaled: its denominators are not yet bounded
-            sections[a] = list(map(parse_rational, sections[a]))
     return _check_conditional_state(L, cs, sections, R, D)
 
 

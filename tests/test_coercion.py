@@ -4,11 +4,8 @@
 accepted exactly; ``bool``, ``float``, non-rationals and any literal,
 ``int``, ``Decimal`` or ``Fraction`` past the size bound (1000 digits on a
 side, exponents within ±1000) raise ``ParseError``, at every entry point.
-``validate_conditional_state`` takes a ``Fraction`` entry as it is and holds
-it to the bound through its scaling and C1 checks, so it refuses what
-"``parse_rational`` every entry, then validate" refuses.  No refusal is a raw
-``ValueError`` from formatting a value past Python's 4300-digit ``int`` ->
-``str`` limit.
+No refusal is a raw ``ValueError`` from formatting a value past Python's
+4300-digit ``int`` -> ``str`` limit.
 """
 
 from decimal import Decimal
@@ -128,8 +125,7 @@ def test_conditional_state_reads_decimals_exactly(mo2):
     ids=[k for k in REFUSED if k != "long-quotient"],
 )
 def test_conditional_state_refuses_inexact_inputs(mo2, bad):
-    """The refusals hold in a section past the scaling bound too, where the
-    integer checks do not bound a ``Fraction`` entry."""
+    """The refusals hold in a section past the scaling bound too."""
     cs, tab = _unscaled_table(mo2)
     b = mo2.id_of("b")
     assert q.validate_conditional_state(mo2, cs, tab).table == tab
@@ -190,11 +186,11 @@ def _outcome(call):
     st.sampled_from(["quotient", "decimal", "Decimal"]),
     st.data(),
 )
-def test_oversized_entry_is_refused_as_if_every_entry_were_parsed(kind, seed, digits, form, data):
+def test_oversized_entry_is_refused_as_parse_rational_refuses_it(kind, seed, digits, form, data):
     """One entry is written with ``digits`` digits on its longer side and the
     same value, so the only fault the table can have is that entry's size.
-    The validator's result or error equals the one of parsing every entry
-    with ``parse_rational`` first and validating the ``Fraction``s."""
+    The table is refused with ``ParseError`` iff ``parse_rational`` refuses
+    that entry, and otherwise validates as the original table does."""
     L, cs, base = _base(*kind, seed)
     key = data.draw(st.sampled_from(sorted(base)))
     v = base[key]
@@ -205,10 +201,10 @@ def test_oversized_entry_is_refused_as_if_every_entry_were_parsed(kind, seed, di
         text = format_rational(v, decimal=True)
         text += ("" if "." in text else ".") + "0" * max(0, digits - sum(map(str.isdigit, text)))
         entry = text if form == "decimal" else Decimal(text)
-    table = base | {key: entry}
-    got = _outcome(lambda: q.validate_conditional_state(L, cs, table))
-    want = _outcome(lambda: q.validate_conditional_state(
-        L, cs, {k: parse_rational(x) for k, x in table.items()}
-    ))
-    assert got == want
-    assert want == q.validate_conditional_state(L, cs, base) or want[0] is ParseError
+    got = _outcome(lambda: q.validate_conditional_state(L, cs, base | {key: entry}))
+    try:
+        parse_rational(entry)
+    except ParseError:
+        assert got[0] is ParseError
+    else:
+        assert got == q.validate_conditional_state(L, cs, base)
