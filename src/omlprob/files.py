@@ -2,12 +2,19 @@
 
 All rationals in files are strings ("3/25", "0.12") or integers; decimals
 are parsed exactly as fractions over powers of ten, each distinct string of
-a table once per document (the memo lives for one load).  Every document may
-carry a "type" field ("lattice", "state", "conditional_state", "smap",
-"observable"), which must name the kind its reader expects; an untyped
-document's kind is inferred from its fields (``DOCUMENT_KINDS``).  A table
-document may name its lattice in a "lattice" field, inline or as a path
-relative to the document.  Unknown fields are rejected.
+a table once per document (the memo lives for one load).  A key repeated in
+any JSON object is a parse error.  Every document may carry a "type" field
+("lattice", "state", "conditional_state", "smap", "observable"), which must
+name the kind its reader expects; an untyped document's kind is inferred
+from its fields (``DOCUMENT_KINDS``).  A table document may name its
+lattice in a "lattice" field, inline or as a path relative to the document.
+Unknown fields are rejected.
+
+An s-map table is loaded integer-first: every literal is parsed to a
+reduced integer ratio and placed by position; then s1–s3 are checked on the
+ratios scaled to a common denominator; only a table that passes is built,
+one ``Fraction`` per distinct literal.  Past 2**MAX_SCALE_BITS the
+``Fraction``s are built first and checked themselves.
 
 A lattice named by path is built once per file content: the file is read on
 every load, and a lattice built from the same bytes is reused from a memo of
@@ -27,8 +34,8 @@ from typing import Mapping
 from .errors import ParseError, SchemaError
 from .lattice import OrthomodularLattice, build_lattice
 from .observables import Observable, make_observable
-from .rationals import format_rational, parse_rational
-from .smap import SMap, _check_smap, _mapping_rows, complete_smap_table
+from .rationals import _ratio, format_rational, parse_rational
+from .smap import SMap, _smap_of_ratios
 from .states import ConditionalState, State, validate_conditional_state, validate_state
 
 # kind -> (the field that marks an untyped document of the kind, the fields
@@ -45,7 +52,7 @@ DOCUMENT_KINDS = {
 
 
 def _json_int(text: str) -> int:
-    return int(parse_rational(text))  # bounds the digit count first
+    return _ratio(text)[0]  # bounds the digit count first
 
 
 class _Document(dict):
@@ -63,11 +70,22 @@ def _read(path: str) -> bytes:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a key given twice is refused, where ``json`` would
+    keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"key {key!r} is repeated in an object")
+    return obj
+
+
 def _parse(path: str, data: bytes) -> dict:
     """The document in the bytes ``data`` read from ``path``, decoded as
     UTF-8, the encoding RFC 8259 requires of JSON."""
     try:
-        doc = json.loads(data.decode("utf-8"),
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=_object,
                          parse_float=parse_rational, parse_int=_json_int)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
@@ -160,18 +178,18 @@ def _pairs(doc, field):
     raise SchemaError(f"{field!r} must be a list of [label, label] pairs")
 
 
-def _cell_reader():
-    """``parse_rational`` for the cells of one document, each distinct string
-    parsed once.  Only ``str`` cells are remembered: a bool would hit the
-    entry of an equal int (True == 1), and a list is unhashable."""
-    memo: dict[str, Fraction] = {}
+def _cell_reader(parse=parse_rational):
+    """``parse`` for the cells of one document, each distinct string parsed
+    once.  Only ``str`` cells are remembered: a bool would hit the entry of
+    an equal int (True == 1), and a list is unhashable."""
+    memo = {}
 
     def read(v):
         if type(v) is not str:
-            return parse_rational(v)
+            return parse(v)
         x = memo.get(v)
         if x is None:
-            x = memo[v] = parse_rational(v)
+            x = memo[v] = parse(v)
         return x
     return read
 
@@ -232,13 +250,18 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
     raw = doc.get("table")
     if not isinstance(raw, dict) or not all(isinstance(r, dict) for r in raw.values()):
         raise SchemaError("'table' must be an object of row objects keyed by label")
-    partial, read = {}, _cell_reader()
+    ratios = []
+
+    def index(v):  # the index in ratios of the reduced (n, d) of v
+        ratios.append(_ratio(v))
+        return len(ratios) - 1
+
+    read, cell = _cell_reader(index), [[None] * len(L) for _ in L.elements]
     for rlab, row in raw.items():
-        a = L.id_of(rlab)
+        r = cell[L.id_of(rlab)]
         for clab, v in row.items():
-            partial[(a, L.id_of(clab))] = read(v)
-    # Every cell is a Fraction by now, so the rows skip validate_smap's coercion.
-    return _check_smap(L, _mapping_rows(L, complete_smap_table(L, partial)))
+            r[L.id_of(clab)] = read(v)
+    return _smap_of_ratios(L, cell, ratios)
 
 
 def load_observable(doc: Mapping, L: OrthomodularLattice | None = None) -> Observable:

@@ -10,12 +10,14 @@ A literal is refused before any ``Fraction`` is built if it has more than
 three-million-digit integer.  An ``int`` and the numerator and denominator of
 a ``Fraction`` are held to the same bound, so a ``Fraction`` reads back.
 A ``Decimal`` is read as its string, so NaN and Infinity are refused.  This
-is the one gate by which a caller's number becomes a ``Fraction``.
+is the one gate by which a caller's number becomes a ``Fraction``, or,
+through ``_ratio``, a reduced integer ratio.
 """
 
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 from .errors import NoExactDecimal, ParseError
 
@@ -39,8 +41,10 @@ def _check_literal_size(text: str) -> None:
             raise ParseError(f"numeric literal has an exponent beyond ±{MAX_EXPONENT}")
 
 
-def parse_rational(value) -> Fraction:
-    """Parse an int, Fraction, Decimal, "p/q" string or decimal string exactly."""
+def _ratio(value) -> tuple[int, int]:
+    """``value`` as a reduced ratio ``(n, d)`` of ints with d > 0: the grammar
+    and bounds of ``parse_rational``, without building a ``Fraction`` for an
+    ``int`` or a ``"p/q"`` string."""
     # str first: the Fraction test goes through ABCMeta.__instancecheck__.
     if isinstance(value, str):
         _check_literal_size(value)
@@ -48,27 +52,41 @@ def parse_rational(value) -> Fraction:
             p, slash, q = value.partition("/")
             # "p/q" in ASCII digits, already bounded in size: skip the regex.
             if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
-                return Fraction(int(p), int(q))
-            return Fraction(value.strip())
+                n, d = int(p), int(q)
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
+            return Fraction(value.strip()).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     if isinstance(value, Fraction):
         if abs(value.numerator) < _INT_BOUND and value.denominator < _INT_BOUND:
-            return value
+            return value.numerator, value.denominator
         raise ParseError(_TOO_LONG)
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
     if isinstance(value, int):
         if not -_INT_BOUND < value < _INT_BOUND:
             raise ParseError(_TOO_LONG)
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         # Floats only appear if a JSON loader was not configured with
         # parse_float=Fraction; refuse rather than guess the intended decimal.
         raise ParseError(f"refusing inexact float literal: {value!r}")
     if isinstance(value, Decimal):
-        return parse_rational(str(value))
+        return _ratio(str(value))
     raise ParseError(f"not a rational: {value!r}")
+
+
+def parse_rational(value) -> Fraction:
+    """Parse an int, Fraction, Decimal, "p/q" string or decimal string exactly.
+
+    A ``Fraction`` within the bound is returned as the same object."""
+    if type(value) is Fraction and (
+        abs(value.numerator) < _INT_BOUND and value.denominator < _INT_BOUND
+    ):
+        return value
+    return Fraction(*_ratio(value))
 
 
 def require_exact(values, where: str) -> None:

@@ -4,6 +4,13 @@ An s-map p(a, b) gives the probability of measuring a and b together.  On
 compatible pairs it collapses to the diagonal at a∧b; on noncompatible pairs
 it may be asymmetric, which is where the one-way independence witnessed by
 ``scan_asymmetric_pairs`` lives.
+
+s1–s3 are checked in one integer kernel, ``_check_scaled_smap``, on the
+table times the lcm of its denominators.  ``validate_smap`` and the
+conversions reach it through ``_check_smap``, which scales a table of
+``Fraction``s.  ``files.load_smap`` first parses every literal to an integer
+ratio; ``_smap_of_ratios`` then scales and checks those, and builds the
+``Fraction``s only for a table that passes.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .states import (
     ConditionalState,
     State,
     _check_conditional_state,
+    _common_denominator,
     _first_nonadditive,
     _scale_to_integers,
     validate_state,
@@ -58,7 +66,7 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
     reports and the returned table hold the ``Fraction`` values.
     """
     if isinstance(table, Mapping):
-        rows = _mapping_rows(L, table, parse_rational)
+        rows = _mapping_rows(L, table)
     else:
         rows = tuple(tuple(map(parse_rational, row)) for row in table)
         if len(rows) != len(L) or any(len(r) != len(L) for r in rows):
@@ -66,30 +74,80 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
     return _check_smap(L, rows)
 
 
-def _mapping_rows(L: OrthomodularLattice, table: Mapping, read=None):
-    """The mapping (a, b) -> entry as a tuple of rows, each entry passed
-    through ``read`` if given.  Entries are read in row-major order, so the
-    first missing one there raises S1Violation."""
+def _mapping_rows(L: OrthomodularLattice, table: Mapping):
+    """The mapping (a, b) -> entry as a tuple of rows, each entry read with
+    ``parse_rational``.  Entries are read in row-major order, so the first
+    missing one there raises S1Violation."""
     try:
         keyed = (map(table.__getitem__, [(a, b) for b in L.elements]) for a in L.elements)
-        return tuple(tuple(row if read is None else map(read, row)) for row in keyed)
+        return tuple(tuple(map(parse_rational, row)) for row in keyed)
     except KeyError as exc:
-        a, b = (L.label(x) for x in exc.args[0])
-        raise S1Violation(f"table missing entry p({a}, {b})", witness=(a, b)) from exc
+        raise _missing(L, *exc.args[0]) from exc
+
+
+def _missing(L: OrthomodularLattice, a: int, b: int) -> S1Violation:
+    a, b = L.label(a), L.label(b)
+    return S1Violation(f"table missing entry p({a}, {b})", witness=(a, b))
 
 
 def _check_smap(L: OrthomodularLattice, rows) -> SMap:
     """s1–s3 for ``rows``, a total tuple of rows of ``Fraction``s."""
     vals, top = _scale_to_integers(rows)
+    _check_scaled_smap(L, vals, top, lambda a, b: rows[a][b])
+    return SMap(L, rows)
+
+
+def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
+    """The SMap of ``cell``, an n×n list of rows of indices into ``ratios``
+    (reduced (n, d) pairs), with None for an entry not given.
+
+    The table is completed as ``complete_smap_table`` completes it, with the
+    same S1Violation for the first missing diagonal entry by element, then
+    the first missing entry in row-major order.  s1–s3 are checked on the
+    ratios scaled by the lcm of their denominators, and one ``Fraction`` per
+    ratio is built only for a table that passes (past 2**MAX_SCALE_BITS, the
+    ``Fraction``s are built and checked themselves).
+    """
+    zero, one = len(ratios), len(ratios) + 1
+    ratios = [*ratios, (0, 1), (1, 1)]
+    diag = [row[x] for x, row in enumerate(cell)]
+    diag[L.zero], diag[L.one] = zero, one
+    if None in diag:
+        x = diag.index(None)
+        raise _missing(L, x, x)
+    for x in L.elements:
+        forced = ((x, L.zero, zero), (L.zero, x, zero), (x, L.one, diag[x]), (L.one, x, diag[x]))
+        for a, b, i in forced:
+            if cell[a][b] is None:
+                cell[a][b] = i
+    for a, row in enumerate(cell):
+        if None in row:
+            raise _missing(L, a, row.index(None))
+    dens = {d for _, d in ratios}
+    D = _common_denominator(dens)
+    if D is not None:
+        scale = {d: D // d for d in dens}
+        scaled = [n * scale[d] for n, d in ratios]
+        _check_scaled_smap(L, [list(map(scaled.__getitem__, row)) for row in cell], D,
+                           lambda a, b: Fraction(*ratios[cell[a][b]]))
+    fracs = [Fraction(n, d) for n, d in ratios]
+    rows = tuple(tuple(map(fracs.__getitem__, row)) for row in cell)
+    return SMap(L, rows) if D is not None else _check_smap(L, rows)
+
+
+def _check_scaled_smap(L: OrthomodularLattice, vals, top, value) -> None:
+    """Raise the first s1–s3 failure of the table p, given as ``vals``, the
+    rows of top·p as lists (ints, or p's ``Fraction``s with ``top`` = 1 past
+    2**MAX_SCALE_BITS); ``value(a, b)`` is p(a, b), for an S1 message."""
     for a, row in enumerate(vals):
         if min(row) < 0 or max(row) > top:
             b = next(b for b, x in enumerate(row) if not 0 <= x <= top)
             raise S1Violation(
-                f"p({L.label(a)}, {L.label(b)}) = {rows[a][b]} outside [0,1]",
+                f"p({L.label(a)}, {L.label(b)}) = {value(a, b)} outside [0,1]",
                 witness=(L.label(a), L.label(b)),
             )
     if vals[L.one][L.one] != top:
-        raise S1Violation(f"p(1,1) = {rows[L.one][L.one]} ≠ 1")
+        raise S1Violation(f"p(1,1) = {value(L.one, L.one)} ≠ 1")
     # s2 on both orders of every ⊥ pair and on 0 ⊥ 0; the least (a, b) is
     # the first failure an entry-by-entry walk of the rows meets.
     nonzero = [(x, y) for a, b, _ in L.orthogonal_pairs for x, y in ((a, b), (b, a)) if vals[x][y]]
@@ -120,7 +178,6 @@ def _check_smap(L: OrthomodularLattice, rows) -> SMap:
             f"{entry(j)} ≠ {entry(a)} + {entry(b)}",
             witness=(L.label(c), (L.label(a), L.label(b)), ("first", "second")[side]),
         )
-    return SMap(L, rows)
 
 
 def complete_smap_table(L: OrthomodularLattice, partial: Mapping[tuple[int, int], Fraction]):
@@ -140,10 +197,7 @@ def complete_smap_table(L: OrthomodularLattice, partial: Mapping[tuple[int, int]
         elif (x, x) in table:
             diag[x] = parse_rational(table[(x, x)])
         else:
-            raise S1Violation(
-                f"table missing entry p({L.label(x)}, {L.label(x)})",
-                witness=(L.label(x), L.label(x)),
-            )
+            raise _missing(L, x, x)
     for x in L.elements:
         table.setdefault((x, L.zero), ZERO)
         table.setdefault((L.zero, x), ZERO)

@@ -51,13 +51,22 @@ def _scale_to_integers(rows):
     """
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     dens = {d for row in ratios for _, d in row}
+    D = _common_denominator(dens)
+    if D is None:
+        return [list(row) for row in rows], ONE
+    scale = {d: D // d for d in dens}
+    return [[n * scale[d] for n, d in row] for row in ratios], D
+
+
+def _common_denominator(dens):
+    """The lcm of the positive ints ``dens``, or None if it reaches
+    2**MAX_SCALE_BITS."""
     D = 1
     for d in dens:
         D = lcm(D, d)
         if D.bit_length() > MAX_SCALE_BITS:
-            return [list(row) for row in rows], ONE
-    scale = {d: D // d for d in dens}
-    return [[n * scale[d] for n, d in row] for row in ratios], D
+            return None
+    return D
 
 
 def _first_nonadditive(pairs, T):

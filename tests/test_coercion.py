@@ -1,4 +1,5 @@
-"""Every validator and builder reads its numbers through ``parse_rational``.
+"""Every validator, builder and file reader reads its numbers under the rule
+of ``parse_rational``.
 
 ``Fraction``, ``int``, ``Decimal`` and ``"p/q"`` or decimal strings are
 accepted exactly; ``bool``, ``float``, non-rationals and any literal,
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omlprob as q
+from omlprob import files
 from omlprob.errors import OmlError, ParseError
 from omlprob.rationals import MAX_DIGITS, format_rational, has_finite_decimal, parse_rational
 from omlprob.smap import complete_smap_table
@@ -40,6 +42,10 @@ def _entry_points(L):
     def replace(seq, i, v):
         return [v if j == i else x for j, x in enumerate(seq)]
 
+    lab = L.label
+    smap_doc = {lab(x): {lab(y): str(rows[x][y]) for y in L.elements} for x in L.elements}
+    state_doc = {lab(x): str(m[x]) for x in L.elements}
+
     return {
         "validate_state": lambda v: q.validate_state(L, replace(m, a, v)),
         "validate_conditional_state": lambda v: q.validate_conditional_state(
@@ -53,6 +59,11 @@ def _entry_points(L):
             L, [a, ap], alphas, [v, 0]
         ),
         "make_observable": lambda v: q.make_observable(L, [(v, a), (2, ap)]),
+        # The file readers, fed an in-memory document with one cell replaced.
+        "load_smap": lambda v: files.load_smap(
+            {"table": smap_doc | {"a": smap_doc["a"] | {"a": v}}}, L
+        ),
+        "load_state": lambda v: files.load_state({"values": state_doc | {"a": v}}, L),
     }
 
 

@@ -345,6 +345,27 @@ def test_unknown_row_label_exits_2(capsys, tmp_path):
     assert "error = unknown element label 'zz'\n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"a": {', '"a": {"b": "1/7", ', "b"),
+    ('"table": {', '"table": {"a": {}, ', "a"),
+    ('{"type": "smap"', '{"type": "smap", "type": "smap"', "type"),
+], ids=["cell", "row", "field"])
+def test_repeated_json_key_exits_2(capsys, tmp_path, old, new, key):
+    """``json`` keeps the last of two equal keys; a document that repeats a
+    cell, a row label or a top-level field is refused, even when both values
+    agree."""
+    text = json.dumps(_with_cells("two_blocks_smap.json", {}))
+    assert text.count(old) == 1
+    path = tmp_path / "p.json"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    message = f"{path}: key {key!r} is repeated in an object"
+    with pytest.raises(ParseError) as exc:
+        files.load_document(str(path))
+    assert str(exc.value) == message
+    assert main(["validate", str(path)]) == 2
+    assert f"error = {message}\n" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["1/7", "2/5"], ids=["conflicting", "consistent"])
 def test_repeated_conditional_state_entry_exits_2(capsys, tmp_path, value):
     """A second f(a, 1) is refused, whether or not it equals the first."""
