@@ -1,14 +1,16 @@
 """JSON file schemas for lattices, states, s-maps and observables.
 
 All rationals in files are strings ("3/25", "0.12") or integers; decimals
-are parsed exactly as fractions over powers of ten, each distinct string of
-a table once per document (the memo lives for one load).  A key repeated in
-any JSON object is a parse error.  Every document may carry a "type" field
-("lattice", "state", "conditional_state", "smap", "observable"), which must
-name the kind its reader expects; an untyped document's kind is inferred
-from its fields (``DOCUMENT_KINDS``).  A table document may name its
-lattice in a "lattice" field, inline or as a path relative to the document.
-Unknown fields are rejected.
+are parsed exactly as fractions over powers of ten.  Each distinct string of
+an s-map table is parsed once per load, through a memo that lives for that
+load only; every other literal, a conditional-state cell included, goes
+through ``parse_rational`` once.  A key repeated in any JSON object is a
+parse error.  Every document may carry a "type" field ("lattice", "state",
+"conditional_state", "smap", "observable"), which must name the kind its
+reader expects; an untyped document's kind is inferred from its fields
+(``DOCUMENT_KINDS``).  A table document may name its lattice in a "lattice"
+field, inline or as a path relative to the document.  Unknown fields are
+rejected.
 
 An s-map table is loaded integer-first: every literal is parsed to a
 reduced integer ratio and placed by position; then s1–s3 are checked on the
@@ -178,22 +180,6 @@ def _pairs(doc, field):
     raise SchemaError(f"{field!r} must be a list of [label, label] pairs")
 
 
-def _cell_reader(parse=parse_rational):
-    """``parse`` for the cells of one document, each distinct string parsed
-    once.  Only ``str`` cells are remembered: a bool would hit the entry of
-    an equal int (True == 1), and a list is unhashable."""
-    memo = {}
-
-    def read(v):
-        if type(v) is not str:
-            return parse(v)
-        x = memo.get(v)
-        if x is None:
-            x = memo[v] = parse(v)
-        return x
-    return read
-
-
 def load_lattice(doc: Mapping) -> OrthomodularLattice:
     _open(doc, "lattice")
     labels = doc.get("labels")
@@ -232,12 +218,12 @@ def load_conditional_state(
         isinstance(t, list) and len(t) == 3 for t in raw
     ):
         raise SchemaError("'table' must be a list of [element, condition, value] triples")
-    table, read = {}, _cell_reader()
+    table = {}
     for b, a, v in raw:
         key = L.id_of(b), L.id_of(a)
         if key in table:
             raise SchemaError(f"'table' gives f({b}, {a}) twice")
-        table[key] = read(v)
+        table[key] = parse_rational(v)
     # Rows the state axioms force may be omitted: f(0, a) = 0, f(1, a) = 1.
     for a in cs:
         table.setdefault((L.zero, a), Fraction(0))
@@ -250,17 +236,25 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
     raw = doc.get("table")
     if not isinstance(raw, dict) or not all(isinstance(r, dict) for r in raw.values()):
         raise SchemaError("'table' must be an object of row objects keyed by label")
-    ratios = []
+    ratios, memo = [], {}  # memo: a str cell -> its index in ratios
 
     def index(v):  # the index in ratios of the reduced (n, d) of v
+        # Only a str is remembered: True == 1 would hit the entry of 1, and
+        # a list is unhashable.
+        if type(v) is str:
+            i = memo.get(v)
+            if i is None:
+                ratios.append(_ratio(v))
+                i = memo[v] = len(ratios) - 1
+            return i
         ratios.append(_ratio(v))
         return len(ratios) - 1
 
-    read, cell = _cell_reader(index), [[None] * len(L) for _ in L.elements]
+    cell = [[None] * len(L) for _ in L.elements]
     for rlab, row in raw.items():
         r = cell[L.id_of(rlab)]
         for clab, v in row.items():
-            r[L.id_of(clab)] = read(v)
+            r[L.id_of(clab)] = index(v)
     return _smap_of_ratios(L, cell, ratios)
 
 

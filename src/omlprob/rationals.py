@@ -97,13 +97,20 @@ def require_exact(values, where: str) -> None:
         raise ParseError(f"refusing {bad!r} in {where}: entries must be int or Fraction")
 
 
+def _strip_2_5(d: int) -> tuple[int, int, int]:
+    """``(e2, e5, r)`` with d = 2^e2·5^e5·r and r prime to 10, for d > 0."""
+    e2 = (d & -d).bit_length() - 1
+    d >>= e2
+    e5 = 0
+    while d % 5 == 0:
+        d //= 5
+        e5 += 1
+    return e2, e5, d
+
+
 def has_finite_decimal(q: Fraction) -> bool:
     """True iff q has a terminating decimal expansion (denominator 2^a·5^b)."""
-    d = q.denominator
-    for p in (2, 5):
-        while d % p == 0:
-            d //= p
-    return d == 1
+    return _strip_2_5(q.denominator)[2] == 1
 
 
 def format_rational(q: Fraction, decimal: bool = False, approx: bool = False) -> str:
@@ -111,26 +118,28 @@ def format_rational(q: Fraction, decimal: bool = False, approx: bool = False) ->
 
     Decimal output is exact when the denominator is of the form 2^a·5^b;
     otherwise it is refused unless ``approx`` allows a float approximation.
+    An exact decimal with more digits than ``str`` converts, or a nonzero q
+    whose float is 0 or overflows, raises NoExactDecimal.
     """
     if not decimal:
         return str(q)
-    if has_finite_decimal(q):
-        sign = "-" if q < 0 else ""
-        q = abs(q)
-        d = q.denominator
-        e2 = e5 = 0
-        while d % 2 == 0:
-            d //= 2
-            e2 += 1
-        while d % 5 == 0:
-            d //= 5
-            e5 += 1
+    e2, e5, rest = _strip_2_5(q.denominator)
+    if rest == 1:
         k = max(e2, e5)
-        scaled = q.numerator * 10**k // q.denominator
-        if k == 0:
-            return f"{sign}{scaled}"
-        text = str(scaled).rjust(k + 1, "0")
-        return f"{sign}{text[:-k]}.{text[-k:]}"
-    if approx:
-        return repr(float(q))
-    raise NoExactDecimal(f"{q} has no exact decimal form (use p/q or allow approximation)")
+        try:  # the interpreter's int->str digit limit (4300 by default)
+            text = str(abs(q.numerator) * (10**k // q.denominator)).rjust(k + 1, "0")
+        except ValueError:
+            raise NoExactDecimal(
+                f"{q} has an exact decimal form too long to print (use p/q)"
+            ) from None
+        sign = "-" if q < 0 else ""
+        return f"{sign}{text[:-k]}.{text[-k:]}" if k else f"{sign}{text}"
+    if not approx:
+        raise NoExactDecimal(f"{q} has no exact decimal form (use p/q or allow approximation)")
+    try:
+        x = float(q)
+    except OverflowError:
+        x = 0.0
+    if not x:  # q ≠ 0 here (0 has an exact decimal), so never print it as 0
+        raise NoExactDecimal(f"{q} has no exact decimal form and is out of float range (use p/q)")
+    return repr(x)

@@ -9,7 +9,8 @@ s1–s3 are checked in one integer kernel, ``_check_scaled_smap``, on the
 table times the lcm of its denominators.  ``validate_smap`` and the
 conversions reach it through ``_check_smap``, which scales a table of
 ``Fraction``s.  ``files.load_smap`` first parses every literal to an integer
-ratio; ``_smap_of_ratios`` then scales and checks those, and builds the
+ratio; ``_smap_of_ratios`` fills in the entries s1–s3 force, the one place
+that rule is stated, then scales and checks the ratios, and builds the
 ``Fraction``s only for a table that passes.
 """
 
@@ -66,23 +67,17 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
     reports and the returned table hold the ``Fraction`` values.
     """
     if isinstance(table, Mapping):
-        rows = _mapping_rows(L, table)
+        # Row-major, so the first missing entry in that order is the one named.
+        try:
+            keyed = (map(table.__getitem__, [(a, b) for b in L.elements]) for a in L.elements)
+            rows = tuple(tuple(map(parse_rational, row)) for row in keyed)
+        except KeyError as exc:
+            raise _missing(L, *exc.args[0]) from exc
     else:
         rows = tuple(tuple(map(parse_rational, row)) for row in table)
         if len(rows) != len(L) or any(len(r) != len(L) for r in rows):
             raise S1Violation("table is not total")
     return _check_smap(L, rows)
-
-
-def _mapping_rows(L: OrthomodularLattice, table: Mapping):
-    """The mapping (a, b) -> entry as a tuple of rows, each entry read with
-    ``parse_rational``.  Entries are read in row-major order, so the first
-    missing one there raises S1Violation."""
-    try:
-        keyed = (map(table.__getitem__, [(a, b) for b in L.elements]) for a in L.elements)
-        return tuple(tuple(map(parse_rational, row)) for row in keyed)
-    except KeyError as exc:
-        raise _missing(L, *exc.args[0]) from exc
 
 
 def _missing(L: OrthomodularLattice, a: int, b: int) -> S1Violation:
@@ -101,12 +96,13 @@ def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
     """The SMap of ``cell``, an n×n list of rows of indices into ``ratios``
     (reduced (n, d) pairs), with None for an entry not given.
 
-    The table is completed as ``complete_smap_table`` completes it, with the
-    same S1Violation for the first missing diagonal entry by element, then
-    the first missing entry in row-major order.  s1–s3 are checked on the
-    ratios scaled by the lcm of their denominators, and one ``Fraction`` per
-    ratio is built only for a table that passes (past 2**MAX_SCALE_BITS, the
-    ``Fraction``s are built and checked themselves).
+    Where not given, the entries s1–s3 force are filled in: p(x, 0) =
+    p(0, x) = 0 and p(x, 1) = p(1, x) = p(x, x).  Every other entry must be
+    given; the first missing diagonal entry by element, then the first
+    missing entry in row-major order, raises S1Violation.  s1–s3 are checked
+    on the ratios scaled by the lcm of their denominators, and one
+    ``Fraction`` per ratio is built only for a table that passes (past
+    2**MAX_SCALE_BITS, the ``Fraction``s are built and checked themselves).
     """
     zero, one = len(ratios), len(ratios) + 1
     ratios = [*ratios, (0, 1), (1, 1)]
@@ -132,7 +128,9 @@ def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
                            lambda a, b: Fraction(*ratios[cell[a][b]]))
     fracs = [Fraction(n, d) for n, d in ratios]
     rows = tuple(tuple(map(fracs.__getitem__, row)) for row in cell)
-    return SMap(L, rows) if D is not None else _check_smap(L, rows)
+    if D is None:
+        _check_scaled_smap(L, list(map(list, rows)), ONE, lambda a, b: rows[a][b])
+    return SMap(L, rows)
 
 
 def _check_scaled_smap(L: OrthomodularLattice, vals, top, value) -> None:
@@ -178,32 +176,6 @@ def _check_scaled_smap(L: OrthomodularLattice, vals, top, value) -> None:
             f"{entry(j)} ≠ {entry(a)} + {entry(b)}",
             witness=(L.label(c), (L.label(a), L.label(b)), ("first", "second")[side]),
         )
-
-
-def complete_smap_table(L: OrthomodularLattice, partial: Mapping[tuple[int, int], Fraction]):
-    """Fill the rows/columns for 0 and 1 that s1–s3 force, where missing.
-
-    p(x,0) = p(0,x) = 0 and p(x,1) = p(1,x) = p(x,x); everything else must be
-    supplied, and a missing diagonal entry p(x,x) raises S1Violation.
-    Returns a full (a, b) -> Fraction mapping.
-    """
-    table = dict(partial)
-    diag = {}
-    for x in L.elements:
-        if x == L.zero:
-            diag[x] = ZERO
-        elif x == L.one:
-            diag[x] = ONE
-        elif (x, x) in table:
-            diag[x] = parse_rational(table[(x, x)])
-        else:
-            raise _missing(L, x, x)
-    for x in L.elements:
-        table.setdefault((x, L.zero), ZERO)
-        table.setdefault((L.zero, x), ZERO)
-        table.setdefault((x, L.one), diag[x])
-        table.setdefault((L.one, x), diag[x])
-    return table
 
 
 def nu_state(p: SMap) -> State:

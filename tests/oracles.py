@@ -11,6 +11,10 @@ double loop over all elements and an orthogonality test instead.
 The library checks s1–s3 on the s-map table scaled to a common denominator.
 The s-map oracle checks them on the ``Fraction`` entries, one at a time.
 
+The library's s-map loader fills the entries s1–s3 force into its grid of
+literal indices.  The completion oracle fills them into a mapping
+(a, b) -> entry, one ``setdefault`` at a time.
+
 The library checks C1–C3 on each section scaled by its own common
 denominator, all sections at once for additivity and one list comparison per
 pair for C3.  The conditional-state oracle checks them on the ``Fraction``
@@ -58,6 +62,7 @@ from omlprob.errors import (
     S3Violation,
 )
 from omlprob.lattice import BooleanSubalgebra, OrthomodularLattice
+from omlprob.rationals import parse_rational
 
 
 def orthogonal_families(L: OrthomodularLattice, members: frozenset[int]):
@@ -171,6 +176,33 @@ def smap_exhaustive(L: OrthomodularLattice, table) -> S1Violation | S2Violation 
                     witness=(L.label(c), (L.label(a), L.label(b)), "second"),
                 )
     return None
+
+
+def complete_smap_table(L: OrthomodularLattice, partial: Mapping[tuple[int, int], Fraction]):
+    """Fill the rows/columns for 0 and 1 that s1–s3 force, where missing.
+
+    p(x,0) = p(0,x) = 0 and p(x,1) = p(1,x) = p(x,x); everything else must be
+    supplied, and a missing diagonal entry p(x,x) raises S1Violation.
+    Returns a full (a, b) -> Fraction mapping.
+    """
+    table = dict(partial)
+    diag = {}
+    for x in L.elements:
+        if x == L.zero:
+            diag[x] = Fraction(0)
+        elif x == L.one:
+            diag[x] = Fraction(1)
+        elif (x, x) in table:
+            diag[x] = parse_rational(table[(x, x)])
+        else:
+            lab = L.label(x)
+            raise S1Violation(f"table missing entry p({lab}, {lab})", witness=(lab, lab))
+    for x in L.elements:
+        table.setdefault((x, L.zero), Fraction(0))
+        table.setdefault((L.zero, x), Fraction(0))
+        table.setdefault((x, L.one), diag[x])
+        table.setdefault((L.one, x), diag[x])
+    return table
 
 
 def _state_failure(L: OrthomodularLattice, vals) -> NotNormalized | NotAdditive | None:

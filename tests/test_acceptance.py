@@ -14,9 +14,9 @@ import pytest
 
 import omlprob as q
 from omlprob.errors import C3Violation, NotOrthomodular, S3Violation
-from omlprob.smap import complete_smap_table
 
 from conftest import two_blocks_table
+from oracles import complete_smap_table
 
 
 @contextmanager

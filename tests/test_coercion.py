@@ -20,9 +20,9 @@ import omlprob as q
 from omlprob import files
 from omlprob.errors import OmlError, ParseError
 from omlprob.rationals import MAX_DIGITS, format_rational, has_finite_decimal, parse_rational
-from omlprob.smap import complete_smap_table
 
 from conftest import two_blocks_table
+from oracles import complete_smap_table
 
 
 def _entry_points(L):

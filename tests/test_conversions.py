@@ -10,11 +10,17 @@ import pytest
 
 import omlprob as q
 from omlprob import states
-from omlprob.errors import NoSolution, ParseError
+from omlprob.errors import NoSolution, ParseError, S1Violation, S3Violation
 from omlprob.smap import SMap
 from omlprob.states import ConditionalState
 
-from oracles import conditional_of_smap, expectation_sum, smap_of_conditional
+from oracles import (
+    assert_same_failure,
+    conditional_of_smap,
+    expectation_sum,
+    smap_exhaustive,
+    smap_of_conditional,
+)
 from test_cstate_kernel import M521, M607, _mersenne_cstate
 from test_smap_kernel import _prime_denominator_table, _primes_from
 
@@ -81,6 +87,34 @@ def test_mixtures_past_the_bound_match_the_oracles(kind, n):
     f = q.smap_to_conditional(p)
     _assert_conversions_match(f, p)
     assert q.conditional_to_smap(f) == p
+
+
+@pytest.mark.parametrize("kind, n", [("mo", 2), ("boolean", 3)])
+@pytest.mark.parametrize("past_bound", [False, True], ids=["scaled", "past_bound"])
+@pytest.mark.parametrize("error", [S1Violation, S3Violation])
+def test_a_product_that_is_no_smap_is_refused(kind, n, past_bound, error):
+    """A hand-built record whose product p_f has an entry above 1 (f(b, 1) =
+    3/2 gives p(b, 1) = 3/2) or a column that is not additive (f(1, b) = 1/2
+    halves p(1, b) only) is refused with the oracle's s1 or s3 failure."""
+    L = q.build_catalog(kind, n)
+    if past_bound:  # the mixture of test_mixtures_past_the_bound_match_the_oracles
+        p1, p2 = (q.random_smap(L, seed).table for seed in (0, 1))
+        t = F(1, M521 * M607)
+        f = q.smap_to_conditional(q.validate_smap(
+            L, [[t * x + (1 - t) * y for x, y in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
+        ))
+    else:
+        f = q.random_conditional_state(L, 0)
+    b = next(b for b in sorted(f.conditions) if b != L.one and f(b, L.one) != 0)
+    key, value = ((b, L.one), F(3, 2)) if error is S1Violation else ((L.one, b), F(1, 2))
+    bad = ConditionalState(L, f.conditions, {**f.table, key: value})
+    want = smap_exhaustive(L, smap_of_conditional(bad))
+    assert type(want) is error
+    scale = states._scale_to_integers(smap_of_conditional(bad))[1]
+    assert (scale is states.ONE) == past_bound
+    with pytest.raises(error) as exc:
+        q.conditional_to_smap(bad)
+    assert_same_failure(exc.value, want)
 
 
 def test_prime_denominator_table_matches_the_oracles():

@@ -250,6 +250,41 @@ class TestDecimalOutput:
         if fmt == "json":
             assert json.loads(captured.err)["status"] == "error"
 
+    @staticmethod
+    def _tiny_smap(t):
+        """The mo(2) s-map with p(a, a) = p(b, b) = t and p(a, b) = p(b, a) = 0."""
+        p = {x: {x + "'": "0"} for x in "ab"} | {x + "'": {x: "0"} for x in "ab"}
+        for x, y in ("ab", "ba"):
+            p[x] |= {x: str(t), y: "0", y + "'": str(t)}
+            p[x + "'"] |= {x + "'": str(1 - t), y: str(t), y + "'": str(1 - 2 * t)}
+        return {"type": "smap", "lattice": str(DATA / "mo2_lattice.json"), "table": p}
+
+    @pytest.mark.parametrize("case", ["long_exact", "float_overflow"])
+    def test_unprintable_decimals_exit_2(self, capsys, tmp_path, case):
+        """p(a, a)·p(b, b) = 1/2^6642 has an exact decimal past Python's
+        4300-digit int -> str limit; 10^400/3 overflows a float."""
+        if case == "long_exact":
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(self._tiny_smap(Fraction(1, 2**3321))))
+            assert main(["validate", str(path)]) == 0
+            argv = ["--decimal", "indep", str(path), "--pair", "b", "a"]
+            message = "has an exact decimal form too long to print (use p/q)"
+        else:
+            doc = json.loads((DATA / "obs_x.json").read_text())
+            doc["lattice"] = str(DATA / "mo2_lattice.json")
+            doc["assignment"][0]["value"] = "1" + "0" * 400 + "/3"
+            path = tmp_path / "x.json"
+            path.write_text(json.dumps(doc))
+            argv = ["--decimal", "--approx", *self.CONDEXP]
+            argv[argv.index(str(DATA / "obs_y.json"))] = str(path)
+            message = "has no exact decimal form and is out of float range (use p/q)"
+        capsys.readouterr()
+        assert main(argv) == cli.EXIT_IO == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
     def test_approx_and_exact_decimals_exit_0(self, capsys):
         code, out = run(capsys, "--decimal", "--approx", *self.CONDEXP)
         assert code == 0 and "1.8 vs 1.8" in out
@@ -333,6 +368,21 @@ def test_equal_literals_load_to_equal_entries(tmp_path):
     a = p.lattice.id_of("a")
     assert p(p.lattice.one, a) == p(a, p.lattice.one) == p(a, a) == Fraction(2, 5)
     assert p.table == want.table
+
+
+def test_equal_strings_load_to_one_fraction(tmp_path):
+    """Cells of one s-map document written as the same string are the same
+    ``Fraction`` object; "2/5" and "0.4" are equal but need not be."""
+    doc = _with_cells("two_blocks_smap.json", {("a", "a"): "0.4"})
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    p = files.load_typed(files.load_document(str(path)))
+    L, first = p.lattice, {}
+    for rlab, row in doc["table"].items():
+        for clab, text in row.items():
+            x = p(L.id_of(rlab), L.id_of(clab))
+            assert first.setdefault(text, x) is x
+    assert len(first) < len(L) ** 2
 
 
 def test_unknown_row_label_exits_2(capsys, tmp_path):

@@ -22,10 +22,10 @@ import omlprob as q
 from omlprob import files
 from omlprob.errors import OmlError
 from omlprob.rationals import format_rational, has_finite_decimal, parse_rational
-from omlprob.smap import SMap, complete_smap_table
+from omlprob.smap import SMap
 
 from conftest import pasting_lattice
-from oracles import assert_same_failure, smap_exhaustive
+from oracles import assert_same_failure, complete_smap_table, smap_exhaustive
 
 LATTICES = (
     [("mo", n) for n in range(2, 17)] + [("boolean", n) for n in range(2, 6)] + [("pasting", 0)]

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from omlprob.errors import ParseError
+from omlprob.errors import NoExactDecimal, ParseError
 from omlprob.rationals import format_rational, has_finite_decimal, parse_rational
 
 
@@ -37,6 +37,25 @@ def test_format_decimal_refuses_nonterminating():
     with pytest.raises(ValueError):
         format_rational(F(11, 30), decimal=True)
     assert format_rational(F(11, 30), decimal=True, approx=True) == repr(11 / 30)
+
+
+def test_format_decimal_exact_past_the_float_range():
+    assert format_rational(F(1, 2**1100), decimal=True) == "0." + str(5**1100).rjust(1100, "0")
+    assert format_rational(-F(10**400 + 1, 8), decimal=True) == f"-{(10**400 + 1) // 8}.125"
+
+
+@pytest.mark.parametrize("q, approx, message", [
+    (F(1, 2**6642), False, "exact decimal form too long to print"),
+    (F(10**4000 + 1, 2**3000), True, "exact decimal form too long to print"),
+    (F(10**400, 3), True, "out of float range"),
+    (F(-(10**400), 3), True, "out of float range"),
+    (F(1, 3 * 10**400), True, "out of float range"),
+])
+def test_format_decimal_refuses_what_it_cannot_print(q, approx, message):
+    """Never a ValueError or OverflowError from ``str`` or ``float``, and
+    never 0 for a nonzero value."""
+    with pytest.raises(NoExactDecimal, match=message):
+        format_rational(q, decimal=True, approx=approx)
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,14 @@ import pytest
 import omlprob as q
 from omlprob.errors import (
     DomainTooSmall,
+    ParseError,
     S1Violation,
     S2Violation,
     S3Violation,
     SupportNotConditionalSystem,
 )
-from omlprob.smap import complete_smap_table
+
+from oracles import complete_smap_table
 
 
 def example_inner_table(L):
@@ -49,6 +51,22 @@ class TestValidateSMap:
     def test_missing_diagonal_refused(self, mo2):
         with pytest.raises(S1Violation):
             q.validate_smap(mo2, {})
+
+    @pytest.mark.parametrize("bad, gone, error, message", [
+        ("b", "b'", ParseError, "not a rational: 'zz'"),
+        ("b'", "b", S1Violation, "table missing entry p(a, b)"),
+    ])
+    def test_mapping_is_read_entry_by_entry(self, mo2, bad, gone, error, message):
+        """A mapping is read in row-major order, each entry parsed as it is
+        looked up: in row a, a bad literal and a missing entry are reported
+        in the order of their columns."""
+        table = complete_smap_table(mo2, example_inner_table(mo2))
+        a = mo2.id_of("a")
+        table[(a, mo2.id_of(bad))] = "zz"
+        del table[(a, mo2.id_of(gone))]
+        with pytest.raises(error) as exc:
+            q.validate_smap(mo2, table)
+        assert str(exc.value) == message
 
 
 class TestNuState:
