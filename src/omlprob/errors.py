@@ -38,13 +38,13 @@ class NotAPoset(OmlError):
 
 
 class NotALattice(OmlError):
-    """Some pair of elements lacks a unique meet or join, or bounds missing."""
+    """Some pair of elements lacks a join, or the bounds are missing."""
 
     stage = "lattice"
 
 
 class NotAnOrtholattice(OmlError):
-    """The orthocomplementation fails involution, order reversal or a∨a⊥=1."""
+    """The orthocomplementation fails order reversal or a∨a⊥=1."""
 
     stage = "ortholattice"
 

@@ -311,7 +311,7 @@ def lattice_document(L: OrthomodularLattice) -> dict:
     }
 
 
-def _document(kind: str, lattice_ref: str | None, **body) -> dict:
+def _document(kind: str, lattice_ref: str | dict | None, **body) -> dict:
     head = {"type": kind, "lattice": lattice_ref} if lattice_ref else {"type": kind}
     return head | body
 
@@ -322,7 +322,7 @@ def state_document(m: State, lattice_ref: str | None = None) -> dict:
     return _document("state", lattice_ref, values=values)
 
 
-def conditional_state_document(f: ConditionalState, lattice_ref: str | None = None) -> dict:
+def conditional_state_document(f: ConditionalState, lattice_ref: str | dict | None = None) -> dict:
     L = f.lattice
     conds = sorted(f.conditions)
     table = [[L.label(b), L.label(a), format_rational(f(b, a))] for a in conds for b in L.elements]
@@ -331,7 +331,7 @@ def conditional_state_document(f: ConditionalState, lattice_ref: str | None = No
     )
 
 
-def smap_document(p: SMap, lattice_ref: str | None = None) -> dict:
+def smap_document(p: SMap, lattice_ref: str | dict | None = None) -> dict:
     L = p.lattice
     table = {
         L.label(a): {L.label(b): format_rational(p(a, b)) for b in L.elements}

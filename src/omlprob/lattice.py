@@ -12,16 +12,17 @@ and mixing laws, and ``atoms`` the elements whose down-set is {0, a}.
 generating pairs into up-set bitmasks (``up[i]`` is i ORed with ``up[j]`` of
 each successor j, in reverse topological order) and down-sets the mirror
 image forward, O(n + |pairs|) big-int ORs.  An acyclic relation closes to an
-antisymmetric one, so the antisymmetry walk runs only to name a cycle.  A join
-is the element whose up-set is ``up[a] & up[b]`` and a meet the one whose
-down-set is ``down[a] & down[b]``, found by hash lookup.  ⊥ is checked
-to reverse the generating pairs only: a ≤ b in the closure is a chain
+antisymmetric one; a cycle is named by its two least ids.  A join is the
+element whose up-set is ``up[a] & up[b]``, found by hash lookup; no meet is
+looked up, as with a 0 a missing meet shows up as a missing join.  ⊥ is
+checked to reverse the generating pairs only, and the first failing pair, by
+id then as given, is named: a ≤ b in the closure is a chain
 a = x₀ → … → x_k = b of pairs, and x_{t+1}⊥ ≤ x_t⊥ on each link composes.
 
 A lattice is validated completely at construction time: bounded poset,
-existence and uniqueness of all meets/joins, the ortholattice axioms and the
-orthomodular law.  After that every query is total and pure, and the object
-is immutable, so concurrent reads are safe.
+existence and uniqueness of all joins (and so of all meets), the
+ortholattice axioms and the orthomodular law.  After that every query is
+total and pure, and the object is immutable, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -212,41 +213,6 @@ class OrthomodularLattice:
         return BooleanSubalgebra(self, mem, tuple(atoms))
 
 
-def _raise_cycle(labels, succ) -> None:
-    """Raise NotAPoset naming the first i, then the first j, with i ≤ j ≤ i
-    and i ≠ j, where ≤ is the closure (by Warshall's algorithm) of the pairs
-    (i, j) for j in ``succ[i]``."""
-    n = len(labels)
-    up = [1 << i for i in range(n)]
-    for i, js in enumerate(succ):
-        for j in js:
-            up[i] |= 1 << j
-    for k in range(n):
-        bit = 1 << k
-        row = up[k]
-        for i in range(n):
-            if up[i] & bit:
-                up[i] |= row
-    for i in range(n):
-        for j in _bits(up[i]):
-            if i != j and up[j] >> i & 1:
-                raise NotAPoset(
-                    f"antisymmetry fails: {labels[i]} ≤ {labels[j]} ≤ {labels[i]}",
-                    witness=(labels[i], labels[j]),
-                )
-
-
-def _raise_order_reversal(labels, up, ortho) -> None:
-    """Raise NotAnOrtholattice naming the first a ≤ b with b⊥ ≰ a⊥."""
-    for a in range(len(labels)):
-        for b in _bits(up[a]):  # a ≤ b
-            if not (up[ortho[b]] >> ortho[a] & 1):
-                raise NotAnOrtholattice(
-                    f"⊥ not order-reversing on {labels[a]} ≤ {labels[b]}",
-                    witness=(labels[a], labels[b]),
-                )
-
-
 # Bound on the element count; the join table takes n² entries.
 MAX_ELEMENTS = 1024
 
@@ -279,7 +245,7 @@ def build_lattice(
         return index[lab]
 
     # Kahn's topological sort of the generating pairs, self-pairs dropped;
-    # an element left unplaced lies on a cycle.
+    # an element left unplaced lies on or above a cycle.
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for x, y in leq_pairs:
@@ -294,7 +260,23 @@ def build_lattice(
             if not indeg[j]:
                 order.append(j)
     if len(order) < n:
-        _raise_cycle(labels, succ)
+        # An unplaced element keeps indeg > 0, so it has an unplaced
+        # predecessor.  Stepping back from the least unplaced id, each time to
+        # the least such predecessor, must repeat an id; the ids from the
+        # repeat on form a cycle, named by its two least ids.
+        back = {}
+        for i in reversed(range(n)):  # the least predecessor is written last
+            if indeg[i]:
+                for j in succ[i]:
+                    back[j] = i
+        walk = [next(i for i in range(n) if indeg[i])]
+        while (x := back[walk[-1]]) not in walk:
+            walk.append(x)
+        a, b = sorted(walk[walk.index(x):])[:2]
+        raise NotAPoset(
+            f"antisymmetry fails: {labels[a]} ≤ {labels[b]} ≤ {labels[a]}",
+            witness=(labels[a], labels[b]),
+        )
     up = [1 << i for i in range(n)]
     for i in reversed(order):
         for j in succ[i]:
@@ -311,18 +293,16 @@ def build_lattice(
         raise NotALattice("no unique smallest/greatest element")
     zero, one = bottoms[0], tops[0]
 
-    # Antisymmetry makes x ↦ down[x] and x ↦ up[x] injective, so the meet
-    # of a and b is the element whose down-set is down[a] ∩ down[b], if any;
-    # only its existence is checked, as meets are read from joins and ⊥.
-    down_sets = set(down)
+    # Antisymmetry makes x ↦ up[x] injective, so the join of a and b is the
+    # element whose up-set is up[a] ∩ up[b], if any.  No meet is looked up:
+    # in a finite poset with a least element, the common lower bounds of a
+    # and b are a nonempty finite set, and their join lies below a and b, so
+    # it is their meet.  Once 0 is unique and every join is found, every
+    # meet exists, and a missing meet shows up as a missing join.
     join_of = {u: x for x, u in enumerate(up)}
     join_table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            if down[a] & down[b] not in down_sets:
-                raise NotALattice(
-                    f"no meet for ({labels[a]}, {labels[b]})", witness=(labels[a], labels[b])
-                )
             j = join_of.get(up[a] & up[b])
             if j is None:
                 raise NotALattice(
@@ -330,6 +310,7 @@ def build_lattice(
                 )
             join_table[a][b] = join_table[b][a] = j
 
+    # Each pair sets ⊥ both ways and a conflict is refused, so ⊥⊥ = id.
     ortho = [-1] * n
     for x, y in ortho_pairs:
         i, j = _id(x), _id(y)
@@ -341,17 +322,18 @@ def build_lattice(
         missing = labels[ortho.index(-1)]
         raise LatticeInputError(f"orthocomplement undefined for {missing}")
     for a in range(n):
-        if ortho[ortho[a]] != a:
-            raise NotAnOrtholattice(
-                f"involution fails at {labels[a]}", witness=(labels[a],)
-            )
         if join_table[a][ortho[a]] != one:
             raise NotAnOrtholattice(
                 f"{labels[a]} ∨ {labels[ortho[a]]} ≠ 1", witness=(labels[a],)
             )
     # Reversing every generating pair reverses the closure (chains compose).
-    if any(not (up[ortho[j]] >> ortho[i] & 1) for i in range(n) for j in succ[i]):
-        _raise_order_reversal(labels, up, ortho)
+    for i in range(n):
+        for j in succ[i]:
+            if not up[ortho[j]] >> ortho[i] & 1:
+                raise NotAnOrtholattice(
+                    f"⊥ not order-reversing on {labels[i]} ≤ {labels[j]}",
+                    witness=(labels[i], labels[j]),
+                )
 
     # a ∨ (a⊥∧b) with a⊥∧b = (a∨b⊥)⊥, De Morgan now that ⊥ is checked.
     for a in range(n):

@@ -56,7 +56,12 @@ def make_observable(
 ) -> Observable:
     """Validate a (value, event) assignment: distinct values, events mutually
     orthogonal and joining to 1."""
-    pairs = [(parse_rational(v), e) for v, e in pairs]
+    return _partition(L, [(parse_rational(v), e) for v, e in pairs])
+
+
+def _partition(L: OrthomodularLattice, pairs: list[tuple[Fraction, int]]) -> Observable:
+    """``make_observable`` for values that are already ``Fraction``s, such as
+    computed ones, which the literal-size gate of ``parse_rational`` skips."""
     values = [v for v, _ in pairs]
     if len(set(values)) != len(values):
         dup = next(v for v in values if values.count(v) > 1)
@@ -145,9 +150,7 @@ def conditional_expectation(
     by_value: dict[Fraction, list[int]] = {}
     for atom in B.atoms:
         by_value.setdefault(fx[atom], []).append(atom)
-    z = make_observable(
-        L, [(value, L.join_all(atoms)) for value, atoms in by_value.items()]
-    )
+    z = _partition(L, [(value, L.join_all(atoms)) for value, atoms in by_value.items()])
     for b, lhs in fx.items():
         rhs = expectation(f, z, b)
         if lhs != rhs:

@@ -113,8 +113,18 @@ def has_finite_decimal(q: Fraction) -> bool:
     return _strip_2_5(q.denominator)[2] == 1
 
 
+def _p_q(q: Fraction) -> str:
+    """``str(q)`` at any size: past the int->str digit limit, through ``str``
+    of a ``Decimal`` made from an int, which has none but is 4x slower."""
+    try:
+        return str(q)
+    except ValueError:
+        n = str(Decimal(q.numerator))
+        return n if q.denominator == 1 else f"{n}/{Decimal(q.denominator)}"
+
+
 def format_rational(q: Fraction, decimal: bool = False, approx: bool = False) -> str:
-    """Render q as "p/q" (default) or in decimal.
+    """Render q as "p/q" (default), exactly at any size, or in decimal.
 
     Decimal output is exact when the denominator is of the form 2^a·5^b;
     otherwise it is refused unless ``approx`` allows a float approximation.
@@ -122,7 +132,7 @@ def format_rational(q: Fraction, decimal: bool = False, approx: bool = False) ->
     whose float is 0 or overflows, raises NoExactDecimal.
     """
     if not decimal:
-        return str(q)
+        return _p_q(q)
     e2, e5, rest = _strip_2_5(q.denominator)
     if rest == 1:
         k = max(e2, e5)
@@ -130,16 +140,16 @@ def format_rational(q: Fraction, decimal: bool = False, approx: bool = False) ->
             text = str(abs(q.numerator) * (10**k // q.denominator)).rjust(k + 1, "0")
         except ValueError:
             raise NoExactDecimal(
-                f"{q} has an exact decimal form too long to print (use p/q)"
+                f"{_p_q(q)} has an exact decimal form too long to print (use p/q)"
             ) from None
         sign = "-" if q < 0 else ""
         return f"{sign}{text[:-k]}.{text[-k:]}" if k else f"{sign}{text}"
     if not approx:
-        raise NoExactDecimal(f"{q} has no exact decimal form (use p/q or allow approximation)")
+        raise NoExactDecimal(f"{_p_q(q)} has no exact decimal form (use p/q or allow approximation)")
     try:
         x = float(q)
     except OverflowError:
         x = 0.0
     if not x:  # q ≠ 0 here (0 has an exact decimal), so never print it as 0
-        raise NoExactDecimal(f"{q} has no exact decimal form and is out of float range (use p/q)")
+        raise NoExactDecimal(f"{_p_q(q)} has no exact decimal form and is out of float range (use p/q)")
     return repr(x)

@@ -35,11 +35,14 @@ shape oracles scan every pair of elements for order or compatibility, and
 the subalgebra oracle checks distributivity on every triple of members and
 that every member is a join of atoms.
 
-The library closes the order by a topological sort of the generating pairs
-and checks that ⊥ reverses those pairs only.  The closure oracle runs
-Warshall's algorithm over every intermediate element, walks every pair of
-the closure for antisymmetry and order reversal, and finds each meet and
-join as the bound that lies above (below) every other common bound.
+The library closes the order by a topological sort of the generating pairs,
+names a cycle by stepping back along unplaced predecessors, checks that ⊥
+reverses the generating pairs only, and looks up joins only, as a missing
+meet shows up as a missing join.  The closure oracle runs Warshall's
+algorithm over every intermediate element, walks every pair of the closure
+for antisymmetry and order reversal, and finds each meet and join as the
+bound that lies above (below) every other common bound; the failure oracle
+checks each axiom group on that closure in the library's stage order.
 """
 
 from __future__ import annotations
@@ -54,9 +57,11 @@ from omlprob.errors import (
     C2Violation,
     C3Violation,
     NotAdditive,
+    NotALattice,
     NotAnOrtholattice,
     NotAPoset,
     NotNormalized,
+    NotOrthomodular,
     S1Violation,
     S2Violation,
     S3Violation,
@@ -426,26 +431,81 @@ def order_reversal_failure(labels, up, ortho) -> NotAnOrtholattice | None:
     return None
 
 
+def _bound(common: int, below) -> int | None:
+    """The member of the mask ``common`` that ``below`` puts every other
+    member under (``below`` is down for a greatest, up for a least member),
+    or None."""
+    best = [m for m in _members(common) if common & ~below[m] == 0]
+    return best[0] if best else None
+
+
+def _down(up) -> list[int]:
+    n = len(up)
+    return [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+
+
+def _ortho_map(labels, ortho_pairs) -> list[int]:
+    index = {lab: i for i, lab in enumerate(labels)}
+    ortho = [0] * len(labels)
+    for x, y in ortho_pairs:
+        ortho[index[x]], ortho[index[y]] = index[y], index[x]
+    return ortho
+
+
+def lattice_failure_exhaustive(labels, leq_pairs, ortho_pairs):
+    """The first axiom group that fails on the Warshall closure of
+    ``leq_pairs``, in the library's stage order (poset, lattice, ortholattice,
+    orthomodular), as an error naming the oracle's first witness, or None.
+    ``ortho_pairs`` must describe a total involution.  Every meet is checked
+    as well as every join."""
+    n = len(labels)
+    up = warshall_up(labels, leq_pairs)
+    exc = antisymmetry_failure(labels, up)
+    if exc is not None:
+        return exc
+    down = _down(up)
+    full = (1 << n) - 1
+    if sum(u == full for u in up) != 1 or sum(d == full for d in down) != 1:
+        return NotALattice("no unique smallest/greatest element")
+    join = [[_bound(up[a] & up[b], up) for b in range(n)] for a in range(n)]
+    meet = [[_bound(down[a] & down[b], down) for b in range(n)] for a in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if join[a][b] is None or meet[a][b] is None:
+                return NotALattice(
+                    f"no meet or join for ({labels[a]}, {labels[b]})",
+                    witness=(labels[a], labels[b]),
+                )
+    ortho = _ortho_map(labels, ortho_pairs)
+    one = down.index(full)
+    for a in range(n):
+        if join[a][ortho[a]] != one:
+            return NotAnOrtholattice(
+                f"{labels[a]} ∨ {labels[ortho[a]]} ≠ 1", witness=(labels[a],)
+            )
+    exc = order_reversal_failure(labels, up, ortho)
+    if exc is not None:
+        return exc
+    for a in range(n):
+        for b in _members(up[a]):
+            if join[a][meet[ortho[a]][b]] != b:
+                return NotOrthomodular(
+                    f"orthomodular law fails on {labels[a]} ≤ {labels[b]}",
+                    witness=(labels[a], labels[b]),
+                )
+    return None
+
+
 def lattice_tables_exhaustive(labels, leq_pairs, ortho_pairs) -> dict:
     """The up-sets, ⊥-sets, meet and join tables, orthogonal pairs, atoms,
     ⊥ and 0 of an orthomodular lattice, from the Warshall closure of
     ``leq_pairs``."""
     n = len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
     up = warshall_up(labels, leq_pairs)
-    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
-    ortho = [0] * n
-    for x, y in ortho_pairs:
-        ortho[index[x]], ortho[index[y]] = index[y], index[x]
-
-    def extreme(common, below):
-        """The member of the mask ``common`` that ``below`` puts every other
-        member under (``below`` is down for a meet, up for a join)."""
-        (best,) = [m for m in _members(common) if common & ~below[m] == 0]
-        return best
-
-    meet = tuple(tuple(extreme(down[a] & down[b], down) for b in range(n)) for a in range(n))
-    join = tuple(tuple(extreme(up[a] & up[b], up) for b in range(n)) for a in range(n))
+    down = _down(up)
+    ortho = _ortho_map(labels, ortho_pairs)
+    meet = tuple(tuple(_bound(down[a] & down[b], down) for b in range(n)) for a in range(n))
+    join = tuple(tuple(_bound(up[a] & up[b], up) for b in range(n)) for a in range(n))
     perp = tuple(down[ortho[b]] for b in range(n))
     zero = next(i for i in range(n) if up[i] == (1 << n) - 1)
     return {

@@ -15,6 +15,7 @@ from omlprob.cli import main
 from omlprob.errors import ParseError, SchemaError
 
 from conftest import DATA
+from oracles import expectation_sum
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 README = DATA.parent / "README.md"
@@ -648,6 +649,18 @@ class TestConvertCommand:
         code, _ = run(capsys, "convert", str(path), "-o", str(tmp_path / "f.json"))
         assert code == 0
 
+    def test_inline_lattice_is_written_through(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_smap.json").read_text())
+        doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
+        path, out = tmp_path / "p.json", tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "convert", str(path), "-o", str(out))[0] == 0
+        assert json.loads(out.read_text())["lattice"] == doc["lattice"]
+        assert run(capsys, "validate", str(out))[0] == 0
+        assert run(capsys, "convert", str(out), "-o", str(tmp_path / "p2.json"))[0] == 0
+        got = json.loads((tmp_path / "p2.json").read_text())
+        assert got["lattice"] == doc["lattice"] and got["table"] == doc["table"]
+
     def test_invalid_input_surfaces_violation(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_f.json").read_text())
         doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
@@ -790,6 +803,31 @@ class TestCondexpCommand:
         )
         assert code == 0
         assert json.loads(out)["values"]["z"] == [["5", "1"]]
+
+
+    def test_values_past_the_literal_bound_exit_0(self, capsys, tmp_path):
+        """z, and f(z, b) in the check lines, have more digits than a literal
+        may have, and f(z, 1) more than Python's int -> str limit."""
+        run(capsys, "gen", "--kind", "boolean", "--n", "5",
+            "--emit", "lattice,conditional_state", "-o", str(tmp_path))
+        values = {a: Fraction(1, 10**999 + k) for a, k in zip("abcde", (1, 3, 7, 9, 13))}
+        obs = tmp_path / "obs.json"
+        obs.write_text(json.dumps({
+            "type": "observable", "lattice": "boolean5_lattice.json",
+            "assignment": [{"value": str(v), "element": a} for a, v in values.items()],
+        }))
+        f_path = tmp_path / "boolean5_conditional_state.json"
+        code, out = run(capsys, "condexp", "--f", str(f_path), "--observable", str(obs),
+                        "--atom", "a", "--format", "json")
+        assert code == 0
+        f = files.load_conditional_state(files.load_document(str(f_path)))
+        L = f.lattice
+        x = q.make_observable(L, [(v, L.id_of(a)) for a, v in values.items()])
+        report = json.loads(out)
+        want = {expectation_sum(f, x, b): L.label(b) for b in L.boolean_subalgebra(L.id_of("a")).atoms}
+        assert {Fraction(v): lab for v, lab in report["values"]["z"]} == want
+        assert all(c["passed"] for c in report["checks"])
+        assert max(len(c["witness"]) for c in report["checks"]) > 2 * 4300
 
 
 class TestGenCommand:

@@ -146,14 +146,15 @@ class TestBuild:
         assert exc.value.witness == ("a", "b")
 
     def test_no_unique_meet(self):
-        # c, d < a, b: the pair (a, b) has maximal lower bounds c and d.
+        # c, d < a, b: the pair (a, b) has maximal lower bounds c and d, so
+        # (c, d) has minimal upper bounds a and b: no meet shows as no join.
         labels = ["0", "a", "b", "c", "d", "1"]
         leq = [["0", "c"], ["0", "d"], ["c", "a"], ["c", "b"], ["d", "a"],
                ["d", "b"], ["a", "1"], ["b", "1"]]
         with pytest.raises(NotALattice) as exc:
             q.build_lattice(labels, leq, [["0", "1"], ["a", "b"], ["c", "d"]])
-        assert exc.value.witness == ("a", "b")
-        assert str(exc.value) == "no meet for (a, b)"
+        assert exc.value.witness == ("c", "d")
+        assert str(exc.value) == "no join for (c, d)"
 
     def test_complement_law_violation(self):
         with pytest.raises(NotAnOrtholattice):

@@ -6,6 +6,8 @@ import pytest
 import omlprob as q
 from omlprob.errors import AtomOutsideCS, DuplicateValue, NoSolution, NotAPartition, ParseError
 
+from oracles import expectation_sum
+
 
 @pytest.fixture
 def obs_x(mo2):
@@ -164,6 +166,18 @@ class TestConditionalExpectation:
             for c in nontrivial[:3]:
                 z = q.conditional_expectation(f, x, L.boolean_subalgebra(c))
                 assert q.expectation(f, z, L.one) == q.expectation(f, x, L.one)
+
+    def test_values_past_the_literal_bound(self):
+        """z is built from computed values, which may have more digits than
+        ``parse_rational`` lets a caller's literal have."""
+        L = q.build_catalog("boolean", 5)
+        f = q.random_conditional_state(L, 0)
+        x = q.make_observable(L, [(F(1, 10**999 + k), a) for k, a in zip((1, 3, 7, 9, 13), L.atoms)])
+        B = L.boolean_subalgebra(L.atoms[0])
+        z = q.conditional_expectation(f, x, B)
+        assert z.assignment == {expectation_sum(f, x, b): b for b in B.atoms}
+        assert max(v.denominator for v in z.spectrum) > 10**1000
+        assert expectation_sum(f, z, L.one) == expectation_sum(f, x, L.one)
 
     def test_atom_outside_cs(self, mo2, example_f, obs_x):
         a, ap = mo2.id_of("a"), mo2.id_of("a'")

@@ -25,6 +25,12 @@ def test_format_default_is_exact():
     assert format_rational(F(3)) == "3"
 
 
+def test_format_default_is_exact_past_the_str_limit():
+    """Python's int -> str limit is 4300 digits; "p/q" has no limit."""
+    assert format_rational(F(10**4400)) == "1" + "0" * 4400
+    assert format_rational(F(-1, 10**4400 + 1)) == "-1/1" + "0" * 4399 + "1"
+
+
 def test_format_decimal_exact():
     assert format_rational(F(3, 25), decimal=True) == "0.12"
     assert format_rational(F(7, 10), decimal=True) == "0.7"
@@ -50,6 +56,9 @@ def test_format_decimal_exact_past_the_float_range():
     (F(10**400, 3), True, "out of float range"),
     (F(-(10**400), 3), True, "out of float range"),
     (F(1, 3 * 10**400), True, "out of float range"),
+    (F(1, 3 * 10**4400), False, r"^1/3000\d* has no exact decimal form \(use"),
+    (F(-(10**4400), 3), True, r"^-1000\d*/3 has no exact decimal form and is out of float range"),
+    (F(1, 2**20000), False, "exact decimal form too long to print"),
 ])
 def test_format_decimal_refuses_what_it_cannot_print(q, approx, message):
     """Never a ValueError or OverflowError from ``str`` or ``float``, and
