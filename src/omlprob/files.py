@@ -14,9 +14,10 @@ rejected.
 
 An s-map table is loaded integer-first: every literal is parsed to a
 reduced integer ratio and placed by position; then s1–s3 are checked on the
-ratios scaled to a common denominator; only a table that passes is built,
-one ``Fraction`` per distinct literal.  Past 2**MAX_SCALE_BITS the
-``Fraction``s are built first and checked themselves.
+ratios scaled to a common denominator (``states._scaled``); only a table
+that passes is built, one ``Fraction`` per distinct literal.  Past
+2**MAX_SCALE_BITS the scaler returns those ``Fraction``s, which are checked
+themselves and kept.
 
 A lattice named by path is built once per file content: the file is read on
 every load, and a lattice built from the same bytes is reused from a memo of

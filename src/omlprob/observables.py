@@ -21,7 +21,7 @@ from .errors import (
     NotAPartition,
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
-from .rationals import parse_rational, require_exact
+from .rationals import exact_ratios, parse_rational
 from .smap import SMap
 from .states import ConditionalState
 
@@ -114,10 +114,9 @@ def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
             witness=(f.lattice.label(b),),
         )
     col = [f.table[(e, b)] for e in x.assignment.values()]
-    require_exact(col, f"f(., {f.lattice.label(b)})")
+    ratios = exact_ratios([*x.assignment, *col], f"x and f(., {f.lattice.label(b)})")
     num, den = 0, 1
-    for r, fe in zip(x.assignment, col):
-        (rn, rd), (fn, fd) = r.as_integer_ratio(), fe.as_integer_ratio()
+    for (rn, rd), (fn, fd) in zip(ratios, ratios[len(col):]):
         num, den = num * rd * fd + rn * fn * den, den * rd * fd
     return Fraction(num, den)
 

@@ -11,7 +11,8 @@ three-million-digit integer.  An ``int`` and the numerator and denominator of
 a ``Fraction`` are held to the same bound, so a ``Fraction`` reads back.
 A ``Decimal`` is read as its string, so NaN and Infinity are refused.  This
 is the one gate by which a caller's number becomes a ``Fraction``, or,
-through ``_ratio``, a reduced integer ratio.
+through ``_ratio``, a reduced integer ratio.  A record's entries, ints
+and ``Fraction``s, become ratios through ``exact_ratios``.
 """
 
 import re
@@ -27,6 +28,7 @@ MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 _INT_BOUND = 10**MAX_DIGITS
 _TOO_LONG = f"numeric literal has more than {MAX_DIGITS} digits"
+_EXACT = frozenset((int, Fraction))
 
 
 def _check_literal_size(text: str) -> None:
@@ -89,12 +91,14 @@ def parse_rational(value) -> Fraction:
     return Fraction(*_ratio(value))
 
 
-def require_exact(values, where: str) -> None:
-    """ParseError unless each value's type is int or Fraction: the conversions
-    call as_integer_ratio(), which a bool and a float have too."""
-    if not {int, Fraction}.issuperset(map(type, values)):
-        bad = next(v for v in values if type(v) not in (int, Fraction))
+def exact_ratios(values, where: str) -> list[tuple[int, int]]:
+    """The reduced ``(n, d)`` of each of a record's ``values``, whose type
+    must be int or Fraction: a bool and a float would pass for numbers."""
+    ratios = [v.as_integer_ratio() for v in values if type(v) in _EXACT]
+    if len(ratios) != len(values):
+        bad = next(v for v in values if type(v) not in _EXACT)
         raise ParseError(f"refusing {bad!r} in {where}: entries must be int or Fraction")
+    return ratios
 
 
 def _strip_2_5(d: int) -> tuple[int, int, int]:

@@ -6,7 +6,7 @@ it may be asymmetric, which is where the one-way independence witnessed by
 ``scan_asymmetric_pairs`` lives.
 
 s1–s3 are checked in one integer kernel, ``_check_scaled_smap``, on the
-table times the lcm of its denominators.  ``validate_smap`` and the
+table as ``states._scaled`` scales it.  ``validate_smap`` and the
 conversions reach it through ``_check_smap``, which scales a table of
 ``Fraction``s.  ``files.load_smap`` first parses every literal to an integer
 ratio; ``_smap_of_ratios`` fills in the entries s1–s3 force, the one place
@@ -29,16 +29,16 @@ from .errors import (
     NotAConditionalSystem,
 )
 from .lattice import OrthomodularLattice
-from .rationals import parse_rational, require_exact
+from .rationals import exact_ratios, parse_rational
 from .states import (
     ONE,
     ZERO,
     ConditionalState,
     State,
     _check_conditional_state,
-    _common_denominator,
     _first_nonadditive,
     _scale_to_integers,
+    _scaled,
     validate_state,
 )
 
@@ -100,9 +100,8 @@ def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
     p(0, x) = 0 and p(x, 1) = p(1, x) = p(x, x).  Every other entry must be
     given; the first missing diagonal entry by element, then the first
     missing entry in row-major order, raises S1Violation.  s1–s3 are checked
-    on the ratios scaled by the lcm of their denominators, and one
-    ``Fraction`` per ratio is built only for a table that passes (past
-    2**MAX_SCALE_BITS, the ``Fraction``s are built and checked themselves).
+    on the ratios as ``_scaled`` gives them; the SMap gets one ``Fraction``
+    per ratio, the ones ``_scaled`` builds past 2**MAX_SCALE_BITS.
     """
     zero, one = len(ratios), len(ratios) + 1
     ratios = [*ratios, (0, 1), (1, 1)]
@@ -119,18 +118,11 @@ def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
     for a, row in enumerate(cell):
         if None in row:
             raise _missing(L, a, row.index(None))
-    dens = {d for _, d in ratios}
-    D = _common_denominator(dens)
-    if D is not None:
-        scale = {d: D // d for d in dens}
-        scaled = [n * scale[d] for n, d in ratios]
-        _check_scaled_smap(L, [list(map(scaled.__getitem__, row)) for row in cell], D,
-                           lambda a, b: Fraction(*ratios[cell[a][b]]))
-    fracs = [Fraction(n, d) for n, d in ratios]
-    rows = tuple(tuple(map(fracs.__getitem__, row)) for row in cell)
-    if D is None:
-        _check_scaled_smap(L, list(map(list, rows)), ONE, lambda a, b: rows[a][b])
-    return SMap(L, rows)
+    scaled, top = _scaled(ratios)
+    _check_scaled_smap(L, [list(map(scaled.__getitem__, row)) for row in cell], top,
+                       lambda a, b: Fraction(*ratios[cell[a][b]]))
+    fracs = scaled if top is ONE else [Fraction(n, d) for n, d in ratios]
+    return SMap(L, tuple(tuple(map(fracs.__getitem__, row)) for row in cell))
 
 
 def _check_scaled_smap(L: OrthomodularLattice, vals, top, value) -> None:
@@ -195,13 +187,14 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
             f"support of the s-map is not a conditional system: {exc}",
             witness=exc.witness,
         ) from exc
-    for row in p.table:
-        require_exact(row, "the s-map table")
     P, _ = _scale_to_integers(p.table)
     sections, R, D = {}, {}, {}
     for b in cs:
-        R[b], D[b] = [row[b] for row in P], P[b][b]
-        sections[b] = [Fraction(x, D[b]) for x in R[b]]
+        col = [row[b] for row in P]
+        if col[b] < 0:  # only in a hand-built p; _check_state needs D[b] > 0
+            col = [-x for x in col]
+        R[b], D[b] = col, col[b]
+        sections[b] = [Fraction(x, D[b]) for x in col]
     return _check_conditional_state(L, cs, sections, R, D)
 
 
@@ -227,8 +220,7 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
     for b, m in zip(L.elements, marginal):
         if m != 0:
             col = [m] + [tab[(a, b)] for a in L.elements]
-            require_exact(col, f"f(., {L.label(b)})")
-            (mn, md), *ratios = [x.as_integer_ratio() for x in col]
+            (mn, md), *ratios = exact_ratios(col, f"f(., {L.label(b)})")
             for row, (n, d) in zip(rows, ratios):
                 row[b] = Fraction(n * mn, d * md)
     return _check_smap(L, tuple(map(tuple, rows)))
@@ -236,9 +228,8 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
 
 def is_independent_product(p: SMap, b: int, a: int) -> bool:
     """b is independent of a under p iff p(b, a) = p(a, a)·p(b, b)."""
-    entries = p(b, a), p(a, a), p(b, b)
-    require_exact(entries, "the s-map table")
-    return entries[0] == entries[1] * entries[2]
+    (n, d), (na, da), (nb, db) = exact_ratios((p(b, a), p(a, a), p(b, b)), "the s-map table")
+    return n * da * db == na * nb * d
 
 
 def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
@@ -249,8 +240,6 @@ def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
     compatible pair) cannot be asymmetric and needs no product.  The test runs
     on P = D·p from ``_scale_to_integers``: P[a][b]·D = P[a][a]·P[b][b].
     """
-    for row in p.table:
-        require_exact(row, "the s-map table")
     t, D = _scale_to_integers(p.table)
     out = []
     for a, row in enumerate(t):

@@ -3,15 +3,16 @@
 All probabilities are exact ``Fraction`` values; independence and the mixing
 law C3 are equality statements, so nothing here tolerates floating point.
 The axioms of states, conditional states and s-maps are checked on tables
-scaled to integers by the lcm of their denominators (``_scale_to_integers``);
-reports and returned objects hold the ``Fraction`` values.  A caller's
-numbers pass ``rationals.parse_rational`` and its size bound.
+scaled to integers by the lcm of their denominators (``_scaled``, on ratios
+from ``rationals.exact_ratios``); reports and returned objects hold the
+``Fraction`` values.  A caller's numbers pass ``rationals.parse_rational``
+and its size bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from operator import add, itemgetter
 from typing import Mapping, NamedTuple, Sequence
@@ -30,43 +31,40 @@ from .errors import (
     ZeroMassCondition,
 )
 from .lattice import OrthomodularLattice
-from .rationals import parse_rational
+from .rationals import exact_ratios, parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
 # Bound on the common denominator the axioms are checked over (see
-# _scale_to_integers).  Catalog and benchmark tables need 20 bits or fewer.
+# _scaled).  Catalog and benchmark tables need 20 bits or fewer.
 MAX_SCALE_BITS = 1024
 
 
-def _scale_to_integers(rows):
-    """``(vals, top)``: the rows of ``Fraction``s times the lcm D of their
-    denominators, as lists of rows, and D.
+def _scaled(ratios):
+    """``(vals, D)``: the reduced ratios ``(n, d)`` times the lcm D of their
+    denominators, as a list of ints, and D.
 
-    The axioms hold for ``rows`` iff they hold for ``vals`` with ``top`` in
-    place of 1.  If D reaches 2**MAX_SCALE_BITS, returns ``rows`` itself (as
-    lists) and ``ONE`` instead, so no table makes the scaled entries grow
-    without bound.
+    The axioms hold for the fractions n/d iff they hold for ``vals`` with D
+    in place of 1.  If D reaches 2**MAX_SCALE_BITS, returns the ratios'
+    ``Fraction``s and ``ONE`` instead, so no table makes the scaled entries
+    grow without bound.
     """
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    dens = {d for row in ratios for _, d in row}
-    D = _common_denominator(dens)
-    if D is None:
-        return [list(row) for row in rows], ONE
-    scale = {d: D // d for d in dens}
-    return [[n * scale[d] for n, d in row] for row in ratios], D
-
-
-def _common_denominator(dens):
-    """The lcm of the positive ints ``dens``, or None if it reaches
-    2**MAX_SCALE_BITS."""
+    dens = {d for _, d in ratios}
     D = 1
     for d in dens:
         D = lcm(D, d)
         if D.bit_length() > MAX_SCALE_BITS:
-            return None
-    return D
+            return [Fraction(n, d) for n, d in ratios], ONE
+    scale = {d: D // d for d in dens}
+    return [n * scale[d] for n, d in ratios], D
+
+
+def _scale_to_integers(rows):
+    """``_scaled`` of a table of rows of ints and ``Fraction``s, by rows."""
+    vals, D = _scaled(exact_ratios([x for row in rows for x in row], "the s-map table"))
+    it = iter(vals)
+    return [list(islice(it, len(row))) for row in rows], D
 
 
 def _first_nonadditive(pairs, T):
@@ -112,7 +110,13 @@ def validate_state(L: OrthomodularLattice, values) -> State:
         vals = tuple(map(parse_rational, values))
     if len(vals) != len(L):
         raise NotNormalized("state table is not total")
-    (ints,), top = _scale_to_integers((vals,))
+    ints, top = _scaled(exact_ratios(vals, "the state table"))
+    return _check_state(L, vals, ints, top)
+
+
+def _check_state(L: OrthomodularLattice, vals, ints, top) -> State:
+    """``validate_state``'s checks of ``vals``, given also as ``ints`` =
+    top·vals with top > 0 (ints, or ``Fraction``s past 2**MAX_SCALE_BITS)."""
     if min(ints) < 0 or max(ints) > top:
         a = next(a for a, x in enumerate(ints) if not 0 <= x <= top)
         raise NotNormalized(f"m({L.label(a)}) = {vals[a]} outside [0,1]", witness=(L.label(a),))
@@ -181,8 +185,8 @@ def validate_conditional_state(
     D₁·D₂·R_j = (R_j[a₁]·D₂)·R_{a₁} + (R_j[a₂]·D₁)·R_{a₂}.
 
     Only a failing C1/C2 stage is walked again, section by section over cs
-    in the iteration order of cs (each section through ``validate_state``),
-    to name its first failure.  C3 at index b is the ``Fraction`` equation
+    in the iteration order of cs (each through ``_check_state``, on R_a), to
+    name its first failure.  C3 at index b is the ``Fraction`` equation
     at b times D_j·D₁·D₂ > 0, so the first index where the lists differ is
     the first failing b; only its message is computed in ``Fraction``s.
     Pairs are taken from ``L.orthogonal_pairs`` in its lexicographic order,
@@ -198,7 +202,7 @@ def validate_conditional_state(
         except KeyError as exc:
             b, a = (L.label(x) for x in exc.args[0])
             raise C1Violation(f"table missing f({b}, {a})", witness=(b, a)) from None
-        (R[a],), D[a] = _scale_to_integers((sections[a],))
+        R[a], D[a] = _scaled(exact_ratios(sections[a], "the conditional-state table"))
     return _check_conditional_state(L, cs, sections, R, D)
 
 
@@ -215,7 +219,7 @@ def _check_conditional_state(L, cs, sections, R, D) -> ConditionalState:
     if not holds or _first_nonadditive(L.orthogonal_pairs, T) is not None:
         for a in cs:
             try:
-                validate_state(L, sections[a])
+                _check_state(L, sections[a], R[a], D[a])
             except (NotNormalized, NotAdditive) as exc:
                 raise C1Violation(
                     f"f(., {L.label(a)}) is not a state: {exc}",

@@ -10,13 +10,15 @@ import pytest
 
 import omlprob as q
 from omlprob import states
-from omlprob.errors import NoSolution, ParseError, S1Violation, S3Violation
+from omlprob.errors import C1Violation, NoSolution, ParseError, S1Violation, S3Violation
+from omlprob.observables import Observable
 from omlprob.smap import SMap
 from omlprob.states import ConditionalState
 
 from oracles import (
     assert_same_failure,
     conditional_of_smap,
+    cstate_exhaustive,
     expectation_sum,
     smap_exhaustive,
     smap_of_conditional,
@@ -117,6 +119,21 @@ def test_a_product_that_is_no_smap_is_refused(kind, n, past_bound, error):
     assert_same_failure(exc.value, want)
 
 
+@pytest.mark.parametrize("label", ["a", "1"])
+def test_a_negative_diagonal_is_conditioned_like_the_oracle(example_smap, mo2, label):
+    """A hand-built table with p(x, x) < 0 conditions to a section of the
+    opposite sign, and is refused with the oracle's first C1 failure."""
+    x = mo2.id_of(label)
+    rows = [list(r) for r in example_smap.table]
+    rows[x][x] = -rows[x][x]
+    p = SMap(mo2, tuple(map(tuple, rows)))
+    want = cstate_exhaustive(mo2, p.support, conditional_of_smap(p))
+    assert isinstance(want, C1Violation)
+    with pytest.raises(C1Violation) as exc:
+        q.smap_to_conditional(p)
+    assert_same_failure(exc.value, want)
+
+
 def test_prime_denominator_table_matches_the_oracles():
     L = q.build_catalog("mo", 16)
     p = q.validate_smap(L, _prime_denominator_table(L, _primes_from(2**61, 16 * 15)))
@@ -147,10 +164,16 @@ def test_expectation_over_coprime_denominators():
 
 def test_float_entries_are_refused(example_f, example_smap, mo2):
     """Only int and Fraction entries are converted, scanned, tested for
-    independence or summed into an expectation; a bool is refused too."""
+    independence or summed into an expectation, the observable's values
+    included; a bool is refused too."""
     a = mo2.id_of("a")
     x_on_a = q.make_observable(mo2, [(1, a), (2, mo2.ortho(a))])
     for bad in (0.4, "2/5", None, True):
+        x_bad = Observable(mo2, (bad, 2), {bad: a, 2: mo2.ortho(a)})
+        with pytest.raises(ParseError):
+            q.expectation(example_f, x_bad, mo2.one)
+        with pytest.raises(ParseError):
+            q.conditional_expectation(example_f, x_bad, mo2.boolean_subalgebra(a))
         f = ConditionalState(mo2, example_f.conditions, example_f.table | {(a, mo2.one): bad})
         with pytest.raises(ParseError):
             q.conditional_to_smap(f)

@@ -133,9 +133,9 @@ def test_valid_tables_stay_on_integers(kind, n, monkeypatch):
     tables = [q.random_conditional_state(L, seed) for seed in range(3)]
 
     def unexpected(*args):
-        raise AssertionError("a Fraction walk ran on a valid table")
+        raise AssertionError("the per-section walk ran on a valid table")
 
-    monkeypatch.setattr(states, "validate_state", unexpected)
+    monkeypatch.setattr(states, "_check_state", unexpected)
     for f in tables:
         assert q.validate_conditional_state(L, f.conditions, f.table).table == f.table
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 import omlprob as q
-from omlprob.catalog import mo_raw, o6_raw, raw_structure
+from omlprob.catalog import o6_raw, raw_structure
 from omlprob.errors import (
     LatticeInputError,
     NotAConditionalSystem,

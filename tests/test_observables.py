@@ -1,10 +1,9 @@
 from fractions import Fraction as F
-from itertools import combinations
 
 import pytest
 
 import omlprob as q
-from omlprob.errors import AtomOutsideCS, DuplicateValue, NoSolution, NotAPartition, ParseError
+from omlprob.errors import AtomOutsideCS, DuplicateValue, NotAPartition, ParseError
 
 from oracles import expectation_sum
 
