@@ -179,9 +179,8 @@ def cmd_gen(args, fmt_value) -> tuple[Report, int]:
     def _path(suffix):
         return os.path.join(args.outdir, f"{stem}_{suffix}.json")
 
-    if args.kind == "o6" or "lattice" in emit:
-        files.write_document(_path("lattice"), raw)
-        report.values["lattice"] = _path("lattice")
+    files.write_document(_path("lattice"), raw)  # the tables name it
+    report.values["lattice"] = _path("lattice")
     if "conditional_state" in emit or "smap" in emit:
         f = random_conditional_state(build_catalog(args.kind, args.n), args.seed)
         if "conditional_state" in emit:
@@ -252,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(
-        "--emit", default="lattice", help="comma list: lattice,smap,conditional_state"
+        "--emit", default="lattice",
+        help="comma list: lattice,smap,conditional_state (the lattice is always written)",
     )
     sp.add_argument("-o", "--outdir", default=".")
     sp.set_defaults(fn=cmd_gen)

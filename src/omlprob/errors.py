@@ -55,10 +55,6 @@ class NotOrthomodular(OmlError):
     stage = "orthomodular"
 
 
-class ZeroGenerated(OmlError):
-    """Conditional-system closure produced the zero element."""
-
-
 class NotAConditionalSystem(OmlError):
     """A member set is not closed under join or relative orthocomplement."""
 

@@ -37,7 +37,7 @@ from typing import Mapping
 from .errors import ParseError, SchemaError
 from .lattice import OrthomodularLattice, build_lattice
 from .observables import Observable, make_observable
-from .rationals import _ratio, format_rational, parse_rational
+from .rationals import _ratio, format_rational, literal, parse_rational
 from .smap import SMap, _smap_of_ratios
 from .states import ConditionalState, State, validate_conditional_state, validate_state
 
@@ -133,7 +133,7 @@ def document_type(doc: Mapping) -> str:
     if "type" in doc:
         kind = doc["type"]
         if not isinstance(kind, str) or kind not in DOCUMENT_KINDS:
-            raise SchemaError(f"unknown document type {kind!r}")
+            raise SchemaError(f"unknown document type {literal(kind)}")
         return kind
     for kind, (marker, *_) in DOCUMENT_KINDS.items():
         if marker in doc:
@@ -143,7 +143,7 @@ def document_type(doc: Mapping) -> str:
 
 def _expected(kinds, kind) -> SchemaError:
     article = "an" if kinds[0][0] in "aeiou" else "a"
-    return SchemaError(f"expected {article} {' or '.join(kinds)} document, got {kind!r}")
+    return SchemaError(f"expected {article} {' or '.join(kinds)} document, got {literal(kind)}")
 
 
 def _open(doc: Mapping, kind: str, L: OrthomodularLattice | None = None):
@@ -190,7 +190,7 @@ def load_lattice(doc: Mapping) -> OrthomodularLattice:
     for key, want in (("zero", L.zero), ("one", L.one)):
         if key in doc and doc[key] != L.label(want):
             raise SchemaError(
-                f"declared {key} = {doc[key]!r} but the order has {L.label(want)!r}"
+                f"declared {key} = {literal(doc[key])} but the order has {L.label(want)!r}"
             )
     return L
 

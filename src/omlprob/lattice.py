@@ -27,7 +27,6 @@ total and pure, and the object is immutable, so concurrent reads are safe.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -37,8 +36,8 @@ from .errors import (
     NotAPoset,
     NotAConditionalSystem,
     NotOrthomodular,
-    ZeroGenerated,
 )
+from .rationals import literal
 
 
 def _bits(mask: int):
@@ -94,7 +93,7 @@ class OrthomodularLattice:
         try:
             return self._index[label]
         except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise LatticeInputError(f"unknown element label {label!r}") from None
+            raise LatticeInputError(f"unknown element label {literal(label)}") from None
 
     def leq(self, a: int, b: int) -> bool:
         return self._join[a][b] == b
@@ -139,78 +138,25 @@ class OrthomodularLattice:
             self, frozenset((self.zero, d, dp, self.one)), tuple(sorted((d, dp)))
         )
 
-    def _cs_gaps(self, members):
-        """Yield ``(is_join, a, b, x)`` for each missing x = a∨b or, for
-        a < b, x = a⊥∧b = (a∨b⊥)⊥; a and b run over members in order, join
-        first."""
+    def check_conditional_system(self, members: frozenset[int]) -> None:
+        """Raise NotAConditionalSystem unless members omits 0 and holds a∨b
+        and, for a < b, a⊥∧b = (a∨b⊥)⊥ for all a and b in it; a and b run
+        over members in order, and the join is checked first."""
+        if self.zero in members:
+            raise NotAConditionalSystem("conditional system contains 0", witness=(self.label(self.zero),))
         ortho = self._ortho
         for a in members:
             row = self._join[a]
             for b in members:
                 j = row[b]
                 if j not in members:
-                    yield True, a, b, j
-                if a != b and j == b:  # a < b
-                    r = ortho[row[ortho[b]]]
-                    if r not in members:
-                        yield False, a, b, r
-
-    def check_conditional_system(self, members: frozenset[int]) -> None:
-        """Raise NotAConditionalSystem unless members satisfies the CS axioms."""
-        if self.zero in members:
-            raise NotAConditionalSystem("conditional system contains 0", witness=(self.label(self.zero),))
-        for is_join, a, b, _ in self._cs_gaps(members):
-            la, lb = self.label(a), self.label(b)
-            raise NotAConditionalSystem(
-                f"not join-closed: {la} ∨ {lb} missing"
-                if is_join
-                else f"not closed under relative complement of {la} in {lb}",
-                witness=(la, lb),
-            )
-
-    def generate_cs(self, seed: Iterable[int]) -> frozenset[int]:
-        """Smallest conditional system containing the seed set.
-
-        The closure never reaches 0: a join of nonzero elements is nonzero,
-        and for a < b the orthomodular law gives b = a ∨ (a⊥∧b), so a⊥∧b = 0
-        would make b = a.
-        """
-        members = set(seed)
-        if not members:
-            raise ZeroGenerated("empty generating set")
-        if self.zero in members:
-            raise ZeroGenerated("generating set contains 0", witness=(self.label(self.zero),))
-        while missing := {x for *_, x in self._cs_gaps(frozenset(members))}:
-            members |= missing
-        return frozenset(members)
-
-    # -- subalgebra helper --------------------------------------------------
-
-    def boolean_subalgebra_from_members(self, members: Iterable[int]) -> BooleanSubalgebra:
-        """Wrap a member set as a BooleanSubalgebra, validating closure and pairwise
-        compatibility: Foulis–Holland makes such a sub-ortholattice of an OML
-        distributive, and a = (a∧b) ∨ (a∧b⊥) holds in a Boolean one."""
-        mem = frozenset(members)
-        for need in (self.zero, self.one):
-            if need not in mem:
-                raise LatticeInputError("Boolean subalgebra must contain 0 and 1")
-        for a in mem:
-            if self._ortho[a] not in mem:
-                raise LatticeInputError(f"not ⊥-closed at {self.label(a)}")
-            for b in mem:
-                if self.meet(a, b) not in mem or self.join(a, b) not in mem:
-                    raise LatticeInputError(
-                        f"not lattice-closed at ({self.label(a)}, {self.label(b)})"
-                    )
-        for a, b in product(mem, mem):
-            if not self.is_compatible(a, b):
+                    gap = "not join-closed: {} ∨ {} missing"
+                elif a != b and j == b and ortho[row[ortho[b]]] not in members:  # a < b
+                    gap = "not closed under relative complement of {} in {}"
+                else:
+                    continue
                 la, lb = self.label(a), self.label(b)
-                raise LatticeInputError(
-                    f"not Boolean: {la} and {lb} are not compatible", witness=(la, lb)
-                )
-        nonzero = [a for a in mem if a != self.zero]
-        atoms = sorted(a for a in nonzero if not any(b != a and self.leq(b, a) for b in nonzero))
-        return BooleanSubalgebra(self, mem, tuple(atoms))
+                raise NotAConditionalSystem(gap.format(la, lb), witness=(la, lb))
 
 
 # Bound on the element count; the join table takes n² entries.
@@ -241,7 +187,7 @@ def build_lattice(
 
     def _id(lab):
         if lab not in index:
-            raise LatticeInputError(f"unknown element label {lab!r}")
+            raise LatticeInputError(f"unknown element label {literal(lab)}")
         return index[lab]
 
     # Kahn's topological sort of the generating pairs, self-pairs dropped;

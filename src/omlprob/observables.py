@@ -43,8 +43,16 @@ class Observable(NamedTuple):
         return self.event(v for v in self.spectrum if v < r)
 
     def range_subalgebra(self) -> BooleanSubalgebra:
-        members = {self.event(S) for S in _subsets(self.spectrum)}
-        return self.lattice.boolean_subalgebra_from_members(members)
+        """The Boolean subalgebra of the events x(S), S a set of values.
+
+        The events are an orthogonal partition of 1, which generates a Boolean
+        subalgebra: its atoms are the nonzero events, and its members the
+        joins of sets of them.  No two nonzero events are equal, as e ⊥ e
+        forces e = 0."""
+        L = self.lattice
+        atoms = tuple(sorted(e for e in self.assignment.values() if e != L.zero))
+        members = frozenset(L.join_all(S) for S in _subsets(atoms))
+        return BooleanSubalgebra(L, members, atoms)
 
 
 def _subsets(items: Sequence):

@@ -12,7 +12,9 @@ a ``Fraction`` are held to the same bound, so a ``Fraction`` reads back.
 A ``Decimal`` is read as its string, so NaN and Infinity are refused.  This
 is the one gate by which a caller's number becomes a ``Fraction``, or,
 through ``_ratio``, a reduced integer ratio.  A record's entries, ints
-and ``Fraction``s, become ratios through ``exact_ratios``.
+and ``Fraction``s, become ratios through ``exact_ratios``.  A message shows
+a value read from a JSON document through ``literal``, a number as its
+decimal rather than a ``Fraction`` repr.
 """
 
 import re
@@ -77,7 +79,7 @@ def _ratio(value) -> tuple[int, int]:
         raise ParseError(f"refusing inexact float literal: {value!r}")
     if isinstance(value, Decimal):
         return _ratio(str(value))
-    raise ParseError(f"not a rational: {value!r}")
+    raise ParseError(f"not a rational: {literal(value)}")
 
 
 def parse_rational(value) -> Fraction:
@@ -99,6 +101,33 @@ def exact_ratios(values, where: str) -> list[tuple[int, int]]:
         bad = next(v for v in values if type(v) not in _EXACT)
         raise ParseError(f"refusing {bad!r} in {where}: entries must be int or Fraction")
     return ratios
+
+
+def literal(value, depth: int = 8) -> str:
+    """``value``, as a JSON document holds it, for a message: a number as
+    its exact decimal (``p/q`` if it has none), ``true``, ``false`` and
+    ``null`` as JSON spells them, a string in the quotes of ``repr``, and a
+    list or an object item by item, each as ``[...]`` or ``{...}`` past
+    ``depth`` levels.  Any other value is shown by ``repr``."""
+    if isinstance(value, str):
+        return repr(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, Fraction)):
+        q = Fraction(value)
+        try:
+            return format_rational(q, decimal=True)
+        except NoExactDecimal:
+            return _p_q(q)
+    if isinstance(value, list):
+        items = [literal(v, depth - 1) for v in value] if depth else ["..."]
+        return f"[{', '.join(items)}]"
+    if isinstance(value, dict):
+        items = [f"{literal(k)}: {literal(v, depth - 1)}" for k, v in value.items()] if depth else ["..."]
+        return f"{{{', '.join(items)}}}"
+    return repr(value)
 
 
 def _strip_2_5(d: int) -> tuple[int, int, int]:

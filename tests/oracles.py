@@ -29,11 +29,12 @@ expectation, on integer numerators and denominators, building one
 the defining formulas in ``Fraction`` arithmetic.
 
 The library reads a lattice's atoms from the down-sets ``build_lattice``
-holds, decides whether it is Boolean or MO-shaped from the atoms, and
-accepts a Boolean subalgebra whose members are pairwise compatible.  The
-shape oracles scan every pair of elements for order or compatibility, and
-the subalgebra oracle checks distributivity on every triple of members and
-that every member is a join of atoms.
+holds, decides whether it is Boolean or MO-shaped from the atoms, and reads
+an observable's range from its partition: the nonzero events are the atoms
+and their joins the members.  The shape oracles scan every pair of elements
+for order or compatibility.  The subalgebra oracles close a set under ⊥, ∨
+and ∧ over every pair of members, then check distributivity on every
+triple and that every member is a join of atoms.
 
 The library closes the order by a topological sort of the generating pairs,
 names a cycle by stepping back along unplaced predecessors, checks that ⊥
@@ -348,6 +349,19 @@ def mo_blocks_exhaustive(L: OrthomodularLattice) -> list[tuple[int, int]]:
         blocks.append((x, xp))
         seen.update((x, xp))
     return blocks
+
+
+def generated_subalgebra_exhaustive(L: OrthomodularLattice, elems) -> frozenset[int]:
+    """The sub-ortholattice that ``elems`` generate: 0, 1 and ``elems``
+    closed under ⊥, ∨ and ∧, one pass over every pair of members at a time."""
+    members = {L.zero, L.one, *elems}
+    while True:
+        new = {L.ortho(a) for a in members} | {
+            op(a, b) for a in members for b in members for op in (L.join, L.meet)
+        }
+        if new <= members:
+            return frozenset(members)
+        members |= new
 
 
 def boolean_subalgebra_exhaustive(L: OrthomodularLattice, members) -> BooleanSubalgebra:

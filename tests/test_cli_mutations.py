@@ -4,9 +4,9 @@ Each case copies the ``data/`` documents, mutates the JSON structure of one
 of them (a key dropped or renamed, a value retyped, a list duplicated or
 cut short, a huge, negative or malformed literal put in) and runs
 ``validate``, ``convert``, ``indep --scan`` and ``condexp`` on the result.
-Every command ends in exit 0, 1 or 2 with a rendered report and no
-traceback, and a case stays within a wall-time bound.  The byte-level
-damage of the same documents is fuzzed in ``test_files_cli``.
+Every command ends in exit 0, 1 or 2 with a rendered report, no traceback
+and no ``Fraction`` repr, and a case stays within a wall-time bound.  The
+byte-level damage of the same documents is fuzzed in ``test_files_cli``.
 """
 
 import copy
@@ -100,4 +100,5 @@ def test_mutated_documents_exit_with_a_report(capsys, tmp_path, name, data):
         assert code in (0, 1, 2), (argv, out, err)
         assert "Traceback" not in err, (argv, err)
         assert (out if code < 2 else err).startswith("status: "), (argv, out, err)
+        assert "Fraction(" not in out + err, (argv, out, err)
     assert time.perf_counter() - start < CASE_SECONDS

@@ -386,6 +386,58 @@ def test_equal_strings_load_to_one_fraction(tmp_path):
     assert len(first) < len(L) ** 2
 
 
+# A JSON value where a type, a label or a declared bound belongs is shown as
+# the file holds it: a number as its decimal, never as a Fraction repr.
+SHOWN = pytest.mark.parametrize("value, shown", [
+    (1.5, "1.5"), ([1.5, "a"], "[1.5, 'a']"), (True, "true"), (None, "null"),
+    ({"k": -0.25}, "{'k': -0.25}"),
+], ids=["number", "list", "true", "null", "object"])
+
+
+def _run_document(capsys, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["validate", str(path)])
+    return code, capsys.readouterr().err
+
+
+@SHOWN
+def test_unknown_document_type_is_shown_as_written(capsys, tmp_path, value, shown):
+    doc = json.loads((DATA / "mo2_lattice.json").read_text(encoding="utf-8"))
+    doc["type"] = value
+    code, err = _run_document(capsys, tmp_path, doc)
+    assert code == 2
+    assert f"error = unknown document type {shown}\n" in err
+
+
+@SHOWN
+def test_unexpected_kind_is_shown_as_written(tmp_path, value, shown):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"type": value, "labels": []}), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        files.load_lattice(files.load_document(str(path)))
+    assert str(exc.value) == f"expected a lattice document, got {shown}"
+
+
+@SHOWN
+def test_declared_zero_is_shown_as_written(capsys, tmp_path, value, shown):
+    doc = json.loads((DATA / "mo2_lattice.json").read_text(encoding="utf-8"))
+    doc["zero"] = value
+    code, err = _run_document(capsys, tmp_path, doc)
+    assert code == 2
+    assert f"error = declared zero = {shown} but the order has '0'\n" in err
+
+
+@SHOWN
+def test_unknown_condition_label_is_shown_as_written(capsys, tmp_path, value, shown):
+    doc = json.loads((DATA / "two_blocks_f.json").read_text(encoding="utf-8"))
+    doc["lattice"] = str(DATA / "mo2_lattice.json")
+    doc["conditions"][0] = value
+    code, err = _run_document(capsys, tmp_path, doc)
+    assert code == 2
+    assert f"error = unknown element label {shown}\n" in err
+
+
 def test_unknown_row_label_exits_2(capsys, tmp_path):
     """An s-map row whose label is no element is refused, even with no cells."""
     doc = _with_cells("two_blocks_smap.json", {})
@@ -884,6 +936,14 @@ class TestGenCommand:
         assert main(["gen", "--kind", kind, "--emit", emit, "-o", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_emitted_table_validates_alone(self, capsys, tmp_path):
+        """The lattice a table names is written with it, whatever --emit."""
+        out = tmp_path / "d"
+        assert main(["gen", "--kind", "mo", "--n", "2", "--emit", "smap", "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["mo2_lattice.json", "mo2_smap.json"]
+        capsys.readouterr()
+        assert main(["validate", str(out / "mo2_smap.json")]) == 0
 
     def test_o6_emits_raw_lattice_only(self, capsys, tmp_path):
         code, _ = run(capsys, "gen", "--kind", "o6", "-o", str(tmp_path))

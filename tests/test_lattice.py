@@ -12,7 +12,6 @@ from omlprob.errors import (
     NotAnOrtholattice,
     NotAPoset,
     NotOrthomodular,
-    ZeroGenerated,
 )
 
 from conftest import pasting_raw
@@ -30,7 +29,6 @@ CS_KINDS = {
     "mo3": with_oracle(raw_structure("mo", 3)),
     "pasting": with_oracle(pasting_raw()),
 }
-MO2_TABLES = with_oracle(raw_structure("mo", 2))[1]  # ids as in the mo2 fixture
 
 
 def brute_meet(L, a, b):
@@ -264,41 +262,8 @@ class TestBooleanSubalgebra:
             assert B.members == frozenset((mo2.zero, d, mo2.ortho(d), mo2.one))
             assert set(B.atoms) == {d, mo2.ortho(d)}
 
-    def test_members_wrapper_rejects_non_boolean(self, mo2):
-        with pytest.raises(LatticeInputError) as exc:
-            mo2.boolean_subalgebra_from_members(mo2.elements)
-        assert str(exc.value) == "not Boolean: a and b are not compatible"
-        assert exc.value.witness == ("a", "b")
-
 
 class TestConditionalSystems:
-    def test_top_only(self, mo2):
-        assert mo2.generate_cs({mo2.one}) == frozenset({mo2.one})
-
-    def test_block_atoms(self, mo2):
-        a = mo2.id_of("a")
-        got = mo2.generate_cs({a, mo2.ortho(a)})
-        assert got == frozenset({a, mo2.ortho(a), mo2.one})
-        assert got == brute_cs_closure(MO2_TABLES, {a, mo2.ortho(a)})
-
-    def test_cross_block(self, mo2):
-        a, b = mo2.id_of("a"), mo2.id_of("b")
-        got = mo2.generate_cs({a, b})
-        want = frozenset({a, b, mo2.ortho(a), mo2.ortho(b), mo2.one})
-        assert got == want == brute_cs_closure(MO2_TABLES, {a, b})
-
-    def test_zero_in_seed_rejected(self, mo2):
-        with pytest.raises(ZeroGenerated):
-            mo2.generate_cs({mo2.zero, mo2.one})
-
-    @given(st.integers(0, 2**20))
-    def test_random_seeds_match_oracle(self, bits):
-        L, T = CS_KINDS["boolean3"]
-        seed = {x for x in L.elements if x != L.zero and bits >> x & 1}
-        if not seed:
-            seed = {L.one}
-        assert L.generate_cs(seed) == brute_cs_closure(T, seed)
-
     @pytest.mark.parametrize("members, message, witness", [
         (("0", "1"), "conditional system contains 0", ("0",)),
         (("a", "b"), "not join-closed: a ∨ b missing", ("a", "b")),
@@ -313,7 +278,7 @@ class TestConditionalSystems:
 
     @given(st.sampled_from(sorted(CS_KINDS)), st.integers(0, 2**12 - 1))
     def test_check_accepts_exactly_the_closed_sets(self, kind, bits):
-        L, _ = CS_KINDS[kind]
+        L, T = CS_KINDS[kind]
         members = frozenset(x for x in L.elements if x != L.zero and bits >> x & 1)
         assume(members)
         try:
@@ -322,7 +287,7 @@ class TestConditionalSystems:
             closed = False
         else:
             closed = True
-        assert closed == (L.generate_cs(members) == members)
+        assert closed == (brute_cs_closure(T, members) == members)
 
     @pytest.mark.parametrize("kind", sorted(CS_KINDS))
     def test_check_and_closure_match_the_oracle_on_every_member_set(self, kind):
@@ -336,8 +301,6 @@ class TestConditionalSystems:
             else:
                 got = None
             assert got == brute_cs_failure(T, L.labels, members)
-            if members and L.zero not in members:
-                assert L.generate_cs(members) == brute_cs_closure(T, members)
 
 
 @pytest.mark.parametrize("kind,n", [("boolean", 1), ("boolean", 2), ("boolean", 4),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from omlprob.errors import NoExactDecimal, ParseError
-from omlprob.rationals import format_rational, has_finite_decimal, parse_rational
+from omlprob.rationals import format_rational, has_finite_decimal, literal, parse_rational
 
 
 def test_parse_forms():
@@ -119,3 +119,22 @@ def test_parse_fraction_literal_forms(text, want):
 def test_parse_rejects_malformed_fraction_literals(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+def _nested(depth):
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("value, shown", [
+    (F(3, 2), "1.5"), (F(-1, 8), "-0.125"), (7, "7"), (F(1, 3), "1/3"),
+    (F(10**5000 + 1, 2), f"1{'0' * 4999}1/2"), ("a", "'a'"), (False, "false"),
+    ([], "[]"), ([F(1, 2), ["b", None]], "[0.5, ['b', null]]"), ({"k": {}}, "{'k': {}}"),
+    (_nested(8), "[" * 8 + "1" + "]" * 8), (_nested(2000), "[" * 8 + "[...]" + "]" * 8),
+    ((1, 2), "(1, 2)"),
+], ids=["decimal", "negative", "int", "no-decimal", "decimal-too-long", "str", "bool",
+        "empty-list", "nested-list", "object", "depth-8", "depth-2000", "other"])
+def test_literal_shows_values_as_a_json_file_holds_them(value, shown):
+    assert literal(value) == shown

@@ -1,11 +1,13 @@
 """Lattice shape read from the atoms, against the exhaustive scans.
 
-``L.atoms``, ``is_boolean_lattice``, ``mo_blocks`` and
-``boolean_subalgebra_from_members`` are checked against the oracles in
-``tests/oracles.py`` on the catalog kinds and on a pasting of two Boolean
-blocks that is neither Boolean nor MO-shaped.
+``L.atoms``, ``is_boolean_lattice``, ``mo_blocks`` and an observable's
+``range_subalgebra``, read from its partition, are checked against the
+oracles in ``tests/oracles.py`` on the catalog kinds and on a pasting of
+two Boolean blocks that is neither Boolean nor MO-shaped.
 """
 
+import random
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -18,6 +20,7 @@ from conftest import pasting_lattice
 from oracles import (
     atoms_exhaustive,
     boolean_subalgebra_exhaustive,
+    generated_subalgebra_exhaustive,
     is_boolean_exhaustive,
     mo_blocks_exhaustive,
 )
@@ -71,10 +74,50 @@ def _member_sets(L):
     ids=["mo-2", "boolean-3", "pasting"],
 )
 def test_boolean_subalgebras_agree_with_distributivity_oracle(kind, accepted):
+    """Each member set the oracle accepts as a Boolean subalgebra is the
+    range of an observable that takes a distinct value on each of its atoms."""
     L = _lattice(kind)
     got = 0
     for mem in _member_sets(L):
-        B = _outcome(L.boolean_subalgebra_from_members, mem)
-        assert B == _outcome(boolean_subalgebra_exhaustive, L, mem)
-        got += B is not LatticeInputError
+        B = _outcome(boolean_subalgebra_exhaustive, L, mem)
+        if B is not LatticeInputError:
+            assert q.make_observable(L, enumerate(B.atoms)).range_subalgebra() == B
+            got += 1
     assert got == accepted
+
+
+def _random_partition(L, rng):
+    """A seeded orthogonal partition of 1 that may hold zero events: a
+    maximal orthogonal set of atoms, taken greedily in a shuffled order
+    (an atom below the complement of a smaller join would extend it), dealt
+    into cells of which some may stay empty."""
+    atoms = list(L.atoms)
+    rng.shuffle(atoms)
+    chosen = []
+    for a in atoms:
+        if all(L.is_orthogonal(a, b) for b in chosen):
+            chosen.append(a)
+    cells = [[] for _ in range(rng.randint(1, len(chosen) + 2))]
+    for a in chosen:
+        rng.choice(cells).append(a)
+    return [L.join_all(cell) for cell in cells]
+
+
+RANGE_KINDS = (
+    [("boolean", n) for n in range(1, 6)]
+    + [("mo", n) for n in (1, 2, 3, 12)]
+    + [("chain2", 1), ("pasting", 0)]
+)
+
+
+@pytest.mark.parametrize("kind", RANGE_KINDS, ids=lambda k: f"{k[0]}-{k[1]}")
+def test_range_agrees_with_exhaustive_oracle(kind):
+    L = _lattice(kind)
+    zero_events = 0
+    for seed in range(20):
+        events = _random_partition(L, random.Random(seed))
+        x = q.make_observable(L, [(F(i, 3), e) for i, e in enumerate(events)])
+        want = boolean_subalgebra_exhaustive(L, generated_subalgebra_exhaustive(L, events))
+        assert x.range_subalgebra() == want
+        zero_events += events.count(L.zero)
+    assert zero_events
