@@ -3,72 +3,38 @@
 Exact-rational states, conditional states, s-maps, their conversions, the
 asymmetric independence relation, and finite observables with joint
 distributions and conditional expectations.
+
+Importing the package loads none of its modules: each name in ``__all__``
+is read from its module, imported on first use (PEP 562), so a command
+compiles only the code it runs.
 """
 
-from .lattice import BooleanSubalgebra, OrthomodularLattice, build_lattice
-from .states import (
-    ConditionalState,
-    State,
-    build_conditional_state,
-    is_independent,
-    validate_conditional_state,
-    validate_state,
-)
-from .smap import (
-    SMap,
-    conditional_to_smap,
-    is_independent_product,
-    nu_state,
-    scan_asymmetric_pairs,
-    smap_to_conditional,
-    validate_smap,
-)
-from .observables import (
-    JointDistribution,
-    Observable,
-    conditional_expectation,
-    distribution_function,
-    expectation,
-    joint_distribution,
-    make_observable,
-)
-from .catalog import (
-    build_catalog,
-    random_conditional_state,
-    random_smap,
-    random_state,
-    raw_structure,
-)
+# module -> the names it exports through the package
+_EXPORTS = {
+    "lattice": "BooleanSubalgebra OrthomodularLattice build_lattice",
+    "states": "ConditionalState State build_conditional_state is_independent "
+              "validate_conditional_state validate_state",
+    "smap": "SMap conditional_to_smap is_independent_product nu_state "
+            "scan_asymmetric_pairs smap_to_conditional validate_smap",
+    "observables": "JointDistribution Observable conditional_expectation "
+                   "distribution_function expectation joint_distribution make_observable",
+    "catalog": "build_catalog random_conditional_state random_smap random_state raw_structure",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "BooleanSubalgebra",
-    "ConditionalState",
-    "JointDistribution",
-    "Observable",
-    "OrthomodularLattice",
-    "SMap",
-    "State",
-    "build_catalog",
-    "build_conditional_state",
-    "build_lattice",
-    "conditional_expectation",
-    "conditional_to_smap",
-    "distribution_function",
-    "expectation",
-    "is_independent",
-    "is_independent_product",
-    "joint_distribution",
-    "make_observable",
-    "nu_state",
-    "random_conditional_state",
-    "random_smap",
-    "random_state",
-    "raw_structure",
-    "scan_asymmetric_pairs",
-    "smap_to_conditional",
-    "validate_conditional_state",
-    "validate_smap",
-    "validate_state",
-]
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,6 +6,13 @@ traceback).  Reports are printed as text or as versioned JSON
 (``--format json``); rationals print as "p/q" unless ``--decimal`` is given,
 and a non-terminating decimal is an error (exit 2) unless ``--approx`` allows
 a float approximation.
+
+Each subcommand imports, inside its function, the modules that only it
+runs, so a command loads and compiles no code it does not run: ``validate`` loads
+neither ``catalog`` nor ``observables``, and ``files`` imports ``smap`` or
+``observables`` only to read such a document.  ``gen --kind`` is checked
+by ``catalog.raw_structure``, whose refusal of an unknown kind exits 2 and
+lists the kinds.
 """
 
 from __future__ import annotations
@@ -16,18 +23,9 @@ import os
 import sys
 
 from . import files
-from .catalog import KINDS, build_catalog, random_conditional_state, raw_structure
 from .errors import InputError, OmlError, SchemaError
 from .lattice import OrthomodularLattice
-from .observables import _checked_members, conditional_expectation, expectation
 from .rationals import format_rational
-from .smap import (
-    SMap,
-    conditional_to_smap,
-    is_independent_product,
-    scan_asymmetric_pairs,
-    smap_to_conditional,
-)
 
 SCHEMA_VERSION = 1
 
@@ -106,6 +104,8 @@ def cmd_validate(args, fmt_value) -> tuple[Report, int]:
 
 
 def cmd_convert(args, fmt_value) -> tuple[Report, int]:
+    from .smap import SMap, conditional_to_smap, smap_to_conditional
+
     report = Report()
     L = _load_context_lattice(args)
     doc = files.load_document(args.path)
@@ -123,6 +123,8 @@ def cmd_convert(args, fmt_value) -> tuple[Report, int]:
 
 
 def cmd_indep(args, fmt_value) -> tuple[Report, int]:
+    from .smap import SMap, conditional_to_smap, is_independent_product, scan_asymmetric_pairs
+
     report = Report()
     L = _load_context_lattice(args)
     p = files.load_typed(files.load_document(args.path), L, ("smap", "conditional_state"))
@@ -145,6 +147,8 @@ def cmd_indep(args, fmt_value) -> tuple[Report, int]:
 
 
 def cmd_condexp(args, fmt_value) -> tuple[Report, int]:
+    from .observables import _checked_members, conditional_expectation, expectation
+
     report = Report()
     L = _load_context_lattice(args)
     f = files.load_typed(files.load_document(args.f), L, ("conditional_state",))
@@ -163,6 +167,9 @@ def cmd_condexp(args, fmt_value) -> tuple[Report, int]:
 
 
 def cmd_gen(args, fmt_value) -> tuple[Report, int]:
+    from .catalog import build_catalog, random_conditional_state, raw_structure
+    from .smap import conditional_to_smap
+
     report = Report()
     emit = {item.strip() for item in args.emit.split(",")} - {""}
     unknown = emit - {"lattice", "smap", "conditional_state"}
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_condexp)
 
     sp = sub.add_parser("gen", help="emit catalog lattices and random tables", parents=[common])
-    sp.add_argument("--kind", choices=KINDS, required=True)
+    sp.add_argument("--kind", required=True, help="catalog kind (an unknown one exits 2)")
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument(

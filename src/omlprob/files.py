@@ -31,15 +31,17 @@ from __future__ import annotations
 import json
 import os
 import threading
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import ParseError, SchemaError
 from .lattice import OrthomodularLattice, build_lattice
-from .observables import Observable, make_observable
 from .rationals import _ratio, format_rational, literal, parse_rational
-from .smap import SMap, _smap_of_ratios
 from .states import ConditionalState, State, validate_conditional_state, validate_state
+
+# The readers of s-maps and observables import their module when called, so
+# a command loads only the modules of the documents it reads; in annotations
+# SMap and Observable name smap.SMap and observables.Observable.
 
 # kind -> (the field that marks an untyped document of the kind, the fields
 # it allows besides "type", the stages of its checks in order), in inference
@@ -233,6 +235,8 @@ def load_conditional_state(
 
 
 def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
+    from .smap import _smap_of_ratios
+
     L = _open(doc, "smap", L)
     raw = doc.get("table")
     if not isinstance(raw, dict) or not all(isinstance(r, dict) for r in raw.values()):
@@ -260,6 +264,8 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
 
 
 def load_observable(doc: Mapping, L: OrthomodularLattice | None = None) -> Observable:
+    from .observables import make_observable
+
     L = _open(doc, "observable", L)
     raw = doc.get("assignment")
     if not isinstance(raw, list) or not all(

@@ -27,7 +27,8 @@ total and pure, and the object is immutable, so concurrent reads are safe.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     LatticeInputError,
@@ -48,12 +49,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-class BooleanSubalgebra(NamedTuple):
+class BooleanSubalgebra(namedtuple("BooleanSubalgebra", "lattice members atoms")):
     """A Boolean subalgebra of an OML, given by its members and atoms."""
 
-    lattice: "OrthomodularLattice"
-    members: frozenset[int]
-    atoms: tuple[int, ...]
+    __slots__ = ()
 
     def __contains__(self, a: int) -> bool:
         return a in self.members

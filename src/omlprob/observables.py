@@ -9,9 +9,10 @@ two orders p_{x,y} and p_{y,x} may genuinely differ.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations, chain
-from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AtomOutsideCS,
@@ -22,16 +23,16 @@ from .errors import (
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
 from .rationals import exact_ratios, parse_rational
-from .smap import SMap
 from .states import ConditionalState
 
+# SMap in annotations names smap.SMap, not imported: a command that reads no
+# s-map, such as condexp, does not load the smap module.
 
-class Observable(NamedTuple):
+
+class Observable(namedtuple("Observable", "lattice spectrum assignment")):
     """A finite-valued observable: sorted spectrum plus value -> event map."""
 
-    lattice: OrthomodularLattice
-    spectrum: tuple[Fraction, ...]
-    assignment: Mapping[Fraction, int]
+    __slots__ = ()
 
     def event(self, values: Iterable[Fraction]) -> int:
         """The event that the outcome lies in the given value set."""
@@ -89,12 +90,10 @@ def _partition(L: OrthomodularLattice, pairs: list[tuple[Fraction, int]]) -> Obs
     return Observable(L, tuple(sorted(values)), assignment)
 
 
-class JointDistribution(NamedTuple):
+class JointDistribution(namedtuple("JointDistribution", "x y table")):
     """p_{x,y}(E, F) = p(x(E), y(F)) over all subsets of both spectra."""
 
-    x: Observable
-    y: Observable
-    table: Mapping[tuple[frozenset, frozenset], Fraction]
+    __slots__ = ()
 
     def __call__(self, E: Iterable[Fraction], F: Iterable[Fraction]) -> Fraction:
         return self.table[(frozenset(E), frozenset(F))]

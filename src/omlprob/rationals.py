@@ -68,7 +68,7 @@ def _ratio(value) -> tuple[int, int]:
             return value.numerator, value.denominator
         raise ParseError(_TOO_LONG)
     if isinstance(value, bool):
-        raise ParseError(f"not a rational: {value!r}")
+        raise ParseError(f"not a rational: {literal(value)}")
     if isinstance(value, int):
         if not -_INT_BOUND < value < _INT_BOUND:
             raise ParseError(_TOO_LONG)

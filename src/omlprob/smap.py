@@ -16,9 +16,10 @@ that rule is stated, then scales and checks the ratios, and builds the
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import itemgetter
-from typing import Mapping, NamedTuple
 
 from .errors import (
     DomainTooSmall,
@@ -43,11 +44,10 @@ from .states import (
 )
 
 
-class SMap(NamedTuple):
+class SMap(namedtuple("SMap", "lattice table")):
     """A validated two-argument measurement probability table."""
 
-    lattice: OrthomodularLattice
-    table: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
     def __call__(self, a: int, b: int) -> Fraction:
         return self.table[a][b]

@@ -11,11 +11,12 @@ and its size bound.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm
 from operator import add, itemgetter
-from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     AlphaNotConcentrated,
@@ -84,11 +85,10 @@ def _first_nonadditive(pairs, T):
     return None
 
 
-class State(NamedTuple):
+class State(namedtuple("State", "lattice values")):
     """A normalized, orthogonally additive [0,1]-valued map on the lattice."""
 
-    lattice: OrthomodularLattice
-    values: tuple[Fraction, ...]
+    __slots__ = ()
 
     def __call__(self, a: int) -> Fraction:
         return self.values[a]
@@ -135,7 +135,7 @@ def _check_state(L: OrthomodularLattice, vals, ints, top) -> State:
     return State(L, vals)
 
 
-class ConditionalState(NamedTuple):
+class ConditionalState(namedtuple("ConditionalState", "lattice conditions table")):
     """A two-place map f(b, a): probability of b given condition a.
 
     The condition ranges over a conditional system; each section f(., a) is a
@@ -143,9 +143,7 @@ class ConditionalState(NamedTuple):
     a condition (C3).
     """
 
-    lattice: OrthomodularLattice
-    conditions: frozenset[int]
-    table: Mapping[tuple[int, int], Fraction]
+    __slots__ = ()
 
     def __call__(self, b: int, a: int) -> Fraction:
         if a not in self.conditions:

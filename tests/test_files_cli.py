@@ -342,11 +342,11 @@ def _with_cells(name, cells):
 # the memo, and the first bad cell in document order names the error.
 @pytest.mark.parametrize("name, cells, message", [
     ("two_blocks_smap.json", {("0", "0"): "1", ("0", "1"): 1, ("b'", "b'"): True},
-     "not a rational: True"),
+     "not a rational: true"),
     ("two_blocks_smap.json", {("a", "b"): [1]}, "not a rational: [1]"),
     ("two_blocks_smap.json", {("a", "b"): "zz", ("b", "a"): "zz", ("b'", "a"): "1/0"},
      "not a rational: 'zz'"),
-    ("two_blocks_f.json", {0: "1", 1: 1, 7: True}, "not a rational: True"),
+    ("two_blocks_f.json", {0: "1", 1: 1, 7: True}, "not a rational: true"),
     ("two_blocks_f.json", {3: [1]}, "not a rational: [1]"),
 ])
 def test_bad_table_cell_exits_2(capsys, tmp_path, name, cells, message):

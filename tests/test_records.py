@@ -1,6 +1,8 @@
 """The value records are immutable named tuples, and the CLI imports no
 code-generation machinery at start-up."""
 
+import ast
+import inspect
 import os
 import pathlib
 import subprocess
@@ -68,6 +70,17 @@ def test_record_contract(mo2, i):
     if cls in (BooleanSubalgebra, State, SMap):  # the others hold a dict
         assert hash(twin) == hash(r)
     assert repr(r).startswith(f"{cls.__name__}({names[0]}=")
+    assert type(r._replace(**{names[0]: fields[0]})) is cls
+    assert cls.__doc__ and cls.__doc__ == _own_docstring(cls)
+
+
+def _own_docstring(cls):
+    """The docstring written in ``cls``'s class statement: a record built on
+    a ``namedtuple`` base without one would show the base's generated
+    ``Name(field, ...)`` docstring instead."""
+    tree = ast.parse(inspect.getsource(sys.modules[cls.__module__]))
+    node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls.__name__)
+    return ast.get_docstring(node, clean=False)
 
 
 def test_records_act_as_tuples(mo2):
