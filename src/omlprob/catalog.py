@@ -8,9 +8,11 @@ Kinds:
                its raw structure is exposed for negative tests.
 
 Generators are deterministic in (lattice, seed) and emit exact rationals with
-bounded denominators.  Every generated conditional state is validated; C3 is
-checked on orthogonal pairs of conditions, in O(|cs|²·|L|) time, so lattices
-well beyond the eight-element ones (mo(12), boolean(6)) are in reach.
+bounded denominators.  Each draws one s-map table p, whose diagonal is a
+random state: ``random_smap`` checks s1–s3 on it, and
+``random_conditional_state`` conditions it, f(a, b) = p(a, b)/p(b, b), and
+checks C1–C3.  Both checks are polynomial in |L|, so mo(64) and boolean(7)
+are in reach.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from itertools import combinations
 
 from .errors import LatticeInputError
 from .lattice import MAX_ELEMENTS, OrthomodularLattice, build_lattice
-from .smap import SMap, conditional_to_smap
-from .states import ConditionalState, State, validate_conditional_state, validate_state
+from .smap import SMap, smap_to_conditional, validate_smap
+from .states import ZERO, ConditionalState, State, validate_state
 
 DENOM_BOUND = 1000
 
@@ -106,13 +108,21 @@ def build_catalog(kind: str, n: int = 1) -> OrthomodularLattice:
 
 
 # --- shape detection ---------------------------------------------------------
-# Both read L.atoms: each x of a finite OML is the join y of the atoms below
-# it, as y < x would leave an atom below x∧y⊥ ≠ 0 (orthomodular law).
+# Both count L.atoms: each x of a finite OML is the join of the atoms below
+# it, as a join y < x of them would leave an atom below x∧y⊥ ≠ 0
+# (orthomodular law).
 
 def is_boolean_lattice(L: OrthomodularLattice) -> bool:
-    """Iff the atoms are pairwise orthogonal: atoms of a Boolean algebra are
-    disjoint, and an orthogonal family generates a Boolean subalgebra."""
-    return all(L.is_orthogonal(a, b) for a, b in combinations(L.atoms, 2))
+    """Iff |L| = 2^k for the k atoms of L.
+
+    x ↦ A(x), the set of atoms below x, is one-to-one, as x = ⋁A(x), and
+    A(x) ⊆ A(y) iff x ≤ y.  So it is an order isomorphism onto the power
+    set of the atoms iff it is onto, that is iff |L| = 2^k.  Then L is a
+    distributive lattice, where x⊥, a complement of x, is its only one: L
+    is a Boolean algebra.  A Boolean algebra is its atoms' power set.  So
+    chain2 (whose one atom is 1) and the one-element lattice are Boolean.
+    """
+    return len(L) == 1 << len(L.atoms)
 
 
 def mo_blocks(L: OrthomodularLattice) -> list[tuple[int, int]]:
@@ -120,16 +130,16 @@ def mo_blocks(L: OrthomodularLattice) -> list[tuple[int, int]]:
 
     No nontrivial x is compatible with anything beyond 0, 1, x, x⊥ iff every
     nontrivial element is an atom: an atom below a non-atom x is compatible
-    with x, and an atom a meets each b ∉ {a, a⊥} and b⊥ in 0.  Otherwise
-    raises LatticeInputError naming the first non-atom and an atom below it.
+    with x, and an atom a meets each b ∉ {a, a⊥} and b⊥ in 0.  L holds
+    {0, 1} ∪ atoms, so that is |L| = |{0, 1} ∪ atoms|.  Otherwise raises
+    LatticeInputError naming the first non-atom and an atom below it; only
+    then are the elements walked.
     """
-    atoms = set(L.atoms)
-    for x in L.elements:
-        if x not in atoms and x not in (L.zero, L.one):
-            lx, lt = L.label(x), L.label(next(a for a in L.atoms if L.leq(a, x)))
-            raise LatticeInputError(
-                f"{lx} is compatible with {lt}: not MO-shaped", witness=(lx, lt)
-            )
+    trivial = {L.zero, L.one, *L.atoms}
+    if len(L) != len(trivial):
+        x = next(x for x in L.elements if x not in trivial)
+        lx, lt = L.label(x), L.label(next(a for a in L.atoms if L.leq(a, x)))
+        raise LatticeInputError(f"{lx} is compatible with {lt}: not MO-shaped", witness=(lx, lt))
     return [(a, L.ortho(a)) for a in L.atoms if a < L.ortho(a)]
 
 
@@ -140,22 +150,15 @@ def _unit_fraction(rng: random.Random, open_interval: bool = False) -> Fraction:
     return Fraction(rng.randint(lo, hi), DENOM_BOUND)
 
 
-def _between(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    return lo + _unit_fraction(rng) * (hi - lo)
-
-
-def _blocks(L: OrthomodularLattice) -> list[tuple[int, int]] | None:
-    """None on a Boolean lattice, else its MO blocks."""
-    return None if is_boolean_lattice(L) else mo_blocks(L)
-
-
 def random_state(L: OrthomodularLattice, seed: int) -> State:
     """A seeded random state; strictly positive on atoms of catalog lattices."""
-    return _random_state(L, random.Random(seed), _blocks(L))
+    return _random_state(L, random.Random(seed))
 
 
-def _random_state(L: OrthomodularLattice, rng: random.Random, blocks) -> State:
-    if blocks is None:
+def _random_state(L: OrthomodularLattice, rng: random.Random) -> State:
+    if L.zero == L.one:
+        raise LatticeInputError("the one-element lattice has 0 = 1 and admits no state")
+    if is_boolean_lattice(L):
         weights = {a: Fraction(rng.randint(1, DENOM_BOUND)) for a in L.atoms}
         total = sum(weights.values())
         values = [
@@ -165,51 +168,47 @@ def _random_state(L: OrthomodularLattice, rng: random.Random, blocks) -> State:
         return validate_state(L, values)
     values = [Fraction(0)] * len(L)
     values[L.one] = Fraction(1)
-    for c, cp in blocks:
+    for c, cp in mo_blocks(L):
         values[c] = _unit_fraction(rng, open_interval=True)
         values[cp] = 1 - values[c]
     return validate_state(L, values)
 
 
-def random_conditional_state(L: OrthomodularLattice, seed: int) -> ConditionalState:
-    """A seeded random conditional state with conditions L − {0}.
+def _random_table(L: OrthomodularLattice, rng: random.Random) -> list[list[Fraction]]:
+    """The rows of a random s-map p whose diagonal is a random state m.
 
-    Boolean lattices get the classical f(x, y) = m(x∧y)/m(y) for a random
-    strictly positive state m.  MO-shaped lattices get per-block random
-    sections anchored to a shared marginal f(., 1), which keeps the mixing
-    law consistent across blocks.
+    Boolean lattices get the classical p(x, y) = m(x∧y).  On an MO-shaped
+    lattice p(., 0) = 0 and p(., 1) = m.  For each block {c, c'}, p(c, c) =
+    p(1, c) = m(c); for each atom x of another block, p(x, c) is drawn from
+    its Fréchet interval [max(0, m(x) + m(c) − 1), min(m(x), m(c))], and
+    p(x', c) = m(c) − p(x, c); then p(., c') = m − p(., c).
     """
-    rng = random.Random(seed)
-    cs = frozenset(x for x in L.elements if x != L.zero)
-    blocks = _blocks(L)
-    m = _random_state(L, rng, blocks)
-    if blocks is None:
-        tab = {
-            (x, y): m(L.meet(x, y)) / m(y)
-            for y in cs
-            for x in L.elements
-        }
-        return validate_conditional_state(L, cs, tab)
-
-    tab: dict[tuple[int, int], Fraction] = {}
+    m = _random_state(L, rng)
+    if is_boolean_lattice(L):
+        return [[m(L.meet(x, y)) for y in L.elements] for x in L.elements]
+    rows = [[ZERO] * len(L) for _ in L.elements]
+    blocks = mo_blocks(L)
     for x in L.elements:
-        tab[(x, L.one)] = m(x)
+        rows[x][L.one] = m(x)
     for c, cp in blocks:
-        k = m(c)  # weight of this block's atom in the marginal; in (0, 1)
-        sec_c = {L.zero: Fraction(0), L.one: Fraction(1), c: Fraction(1), cp: Fraction(0)}
+        rows[c][c] = rows[L.one][c] = m(c)
         for x, xp in blocks:
-            if x == c:
-                continue
-            lo = max(Fraction(0), (m(x) - (1 - k)) / k)
-            hi = min(Fraction(1), m(x) / k)
-            sec_c[x] = _between(rng, lo, hi)
-            sec_c[xp] = 1 - sec_c[x]
+            if x != c:
+                lo, hi = max(ZERO, m(x) + m(c) - 1), min(m(x), m(c))
+                rows[x][c] = lo + _unit_fraction(rng) * (hi - lo)
+                rows[xp][c] = m(c) - rows[x][c]
         for x in L.elements:
-            tab[(x, c)] = sec_c[x]
-            tab[(x, cp)] = (m(x) - k * sec_c[x]) / (1 - k)
-    return validate_conditional_state(L, cs, tab)
+            rows[x][cp] = m(x) - rows[x][c]
+    return rows
+
+
+def random_conditional_state(L: OrthomodularLattice, seed: int) -> ConditionalState:
+    """A seeded random conditional state with conditions L − {0}: the random
+    s-map's table conditioned, f(a, b) = p(a, b)/p(b, b), by
+    ``smap_to_conditional``, which checks C1–C3."""
+    return smap_to_conditional(SMap(L, _random_table(L, random.Random(seed))))
 
 
 def random_smap(L: OrthomodularLattice, seed: int) -> SMap:
-    """A seeded random s-map, obtained from a random conditional state."""
-    return conditional_to_smap(random_conditional_state(L, seed))
+    """A seeded random s-map, checked by ``validate_smap``."""
+    return validate_smap(L, _random_table(L, random.Random(seed)))

@@ -167,8 +167,8 @@ def cmd_condexp(args, fmt_value) -> tuple[Report, int]:
 
 
 def cmd_gen(args, fmt_value) -> tuple[Report, int]:
-    from .catalog import build_catalog, random_conditional_state, raw_structure
-    from .smap import conditional_to_smap
+    from .catalog import random_smap, raw_structure
+    from .smap import smap_to_conditional
 
     report = Report()
     emit = {item.strip() for item in args.emit.split(",")} - {""}
@@ -189,15 +189,14 @@ def cmd_gen(args, fmt_value) -> tuple[Report, int]:
     files.write_document(_path("lattice"), raw)  # the tables name it
     report.values["lattice"] = _path("lattice")
     if "conditional_state" in emit or "smap" in emit:
-        f = random_conditional_state(build_catalog(args.kind, args.n), args.seed)
+        p = random_smap(files.load_lattice(raw), args.seed)
         if "conditional_state" in emit:
             files.write_document(
                 _path("conditional_state"),
-                files.conditional_state_document(f, lattice_name),
+                files.conditional_state_document(smap_to_conditional(p), lattice_name),
             )
             report.values["conditional_state"] = _path("conditional_state")
         if "smap" in emit:
-            p = conditional_to_smap(f)
             files.write_document(_path("smap"), files.smap_document(p, lattice_name))
             report.values["smap"] = _path("smap")
     return report, EXIT_OK

@@ -29,6 +29,28 @@ def pasting_raw():
     return {"labels": labels, "leq": leq, "ortho": ortho}
 
 
+def product_raw(raw1, raw2):
+    """The direct product of two raw lattices: labels ``x|y``, each factor's
+    ``leq`` pairs lifted componentwise, and ⊥ taken componentwise."""
+    def ortho_map(raw):
+        return {x: y for a, b in raw["ortho"] for x, y in ((a, b), (b, a))}
+
+    def lab(x, y):
+        return f"{x}|{y}"
+
+    l1, l2 = raw1["labels"], raw2["labels"]
+    o1, o2 = ortho_map(raw1), ortho_map(raw2)
+    leq = [(lab(a, y), lab(b, y)) for a, b in raw1["leq"] for y in l2]
+    leq += [(lab(x, a), lab(x, b)) for a, b in raw2["leq"] for x in l1]
+    return {
+        "labels": [lab(x, y) for x in l1 for y in l2],
+        "leq": leq,
+        "ortho": [(lab(x, y), lab(o1[x], o2[y])) for x in l1 for y in l2],
+        "zero": lab(raw1["zero"], raw2["zero"]),
+        "one": lab(raw1["one"], raw2["one"]),
+    }
+
+
 def pasting_lattice():
     raw = pasting_raw()
     return q.build_lattice(raw["labels"], raw["leq"], raw["ortho"])

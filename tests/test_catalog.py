@@ -78,9 +78,40 @@ class TestGenerators:
         p = q.random_smap(L, seed)
         q.validate_smap(L, p.table)
 
+    @pytest.mark.parametrize("generate", [q.random_state, q.random_conditional_state, q.random_smap])
+    def test_one_element_lattice_is_refused(self, generate):
+        L = q.build_lattice(["0"], [], [["0", "0"]])
+        with pytest.raises(LatticeInputError, match="admits no state"):
+            generate(L, 0)
+
     def test_boolean_smap_symmetric(self):
         L = q.build_catalog("boolean", 3)
         p = q.random_smap(L, 9)
         for a in L.elements:
             for b in L.elements:
                 assert p(a, b) == p(b, a)
+
+
+IDENTITY_KINDS = (
+    [("boolean", n) for n in range(1, 7)] + [("mo", n) for n in range(1, 17)] + [("chain2", 1)]
+)
+
+
+@pytest.mark.parametrize("kind", IDENTITY_KINDS, ids=lambda k: f"{k[0]}-{k[1]}")
+def test_generators_are_linked_by_conditioning(kind):
+    """The two generators give an s-map and its conditional state, each the
+    other's conversion; on an MO lattice each entry p(x, c) at atoms of two
+    blocks lies in the Fréchet interval of m = p's diagonal."""
+    L = q.build_catalog(*kind)
+    for seed in range(4):
+        p, f = q.random_smap(L, seed), q.random_conditional_state(L, seed)
+        assert q.smap_to_conditional(p) == f
+        assert q.conditional_to_smap(f) == p
+        if is_boolean_lattice(L):
+            continue
+        block = {x: i for i, b in enumerate(mo_blocks(L)) for x in b}
+        for x in L.atoms:
+            for c in L.atoms:
+                if block[x] != block[c]:
+                    m_x, m_c = p(x, x), p(c, c)
+                    assert max(0, m_x + m_c - 1) <= p(x, c) <= min(m_x, m_c)

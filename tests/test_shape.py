@@ -2,8 +2,9 @@
 
 ``L.atoms``, ``is_boolean_lattice``, ``mo_blocks`` and an observable's
 ``range_subalgebra``, read from its partition, are checked against the
-oracles in ``tests/oracles.py`` on the catalog kinds and on a pasting of
-two Boolean blocks that is neither Boolean nor MO-shaped.
+oracles in ``tests/oracles.py`` on the catalog kinds, on a pasting of two
+Boolean blocks that is neither Boolean nor MO-shaped, and on direct products
+of catalog lattices, of which only boolean(2)×boolean(2) is Boolean.
 """
 
 import random
@@ -16,7 +17,7 @@ import omlprob as q
 from omlprob.catalog import is_boolean_lattice, mo_blocks
 from omlprob.errors import LatticeInputError
 
-from conftest import pasting_lattice
+from conftest import pasting_lattice, product_raw
 from oracles import (
     atoms_exhaustive,
     boolean_subalgebra_exhaustive,
@@ -25,14 +26,26 @@ from oracles import (
     mo_blocks_exhaustive,
 )
 
+# name -> the two catalog factors of a direct product
+PRODUCTS = {
+    "b1xmo2": (("boolean", 1), ("mo", 2)),
+    "b2xmo2": (("boolean", 2), ("mo", 2)),
+    "mo2xmo3": (("mo", 2), ("mo", 3)),
+    "b2xb2": (("boolean", 2), ("boolean", 2)),
+}
+
 KINDS = (
     [("boolean", n) for n in range(1, 7)]
     + [("mo", n) for n in range(1, 17)]
     + [("chain2", 1), ("pasting", 0)]
+    + [("product", name) for name in PRODUCTS]
 )
 
 
 def _lattice(kind):
+    if kind[0] == "product":
+        raw = product_raw(*(q.raw_structure(*f) for f in PRODUCTS[kind[1]]))
+        return q.build_lattice(raw["labels"], raw["leq"], raw["ortho"])
     return pasting_lattice() if kind[0] == "pasting" else q.build_catalog(*kind)
 
 
@@ -50,6 +63,22 @@ def test_shape_agrees_with_exhaustive_oracles(kind):
     assert list(L.atoms) == atoms_exhaustive(L)
     assert is_boolean_lattice(L) == is_boolean_exhaustive(L)
     assert _outcome(mo_blocks, L) == _outcome(mo_blocks_exhaustive, L)
+
+
+@pytest.mark.parametrize(
+    "name, size, boolean",
+    [("b1xmo2", 12, False), ("b2xmo2", 24, False), ("mo2xmo3", 48, False), ("b2xb2", 16, True)],
+)
+def test_product_shape(name, size, boolean):
+    """A product with a non-Boolean factor is neither Boolean nor MO-shaped,
+    so no state is drawn on it."""
+    L = _lattice(("product", name))
+    assert len(L) == size and is_boolean_lattice(L) == boolean
+    if boolean:
+        assert q.random_state(L, 0).values[L.one] == 1
+    else:
+        with pytest.raises(LatticeInputError, match="not MO-shaped"):
+            q.random_state(L, 0)
 
 
 def test_pasting_shape(pasting):
