@@ -161,8 +161,8 @@ def cmd_condexp(args, fmt_value) -> tuple[Report, int]:
     ]
     # conditional_expectation has raised NoSolution unless f(x, b) = f(z, b).
     for b in _checked_members(f, B):
-        value = fmt_value(expectation(f, z, b))
-        report.check(f"condexp:f(x,{L.label(b)})=f(z,{L.label(b)})", True, f"{value} vs {value}")
+        lhs, rhs = fmt_value(expectation(f, x, b)), fmt_value(expectation(f, z, b))
+        report.check(f"condexp:f(x,{L.label(b)})=f(z,{L.label(b)})", True, f"{lhs} vs {rhs}")
     return report, EXIT_OK
 
 

@@ -4,7 +4,9 @@ An observable assigns lattice events to finitely many rational values whose
 events partition 1; value sets map to joins, so the range is a Boolean
 subalgebra.  Joint distributions pull an s-map back through two observables
 and exist even when the observables are not compatible — in which case the
-two orders p_{x,y} and p_{y,x} may genuinely differ.
+two orders p_{x,y} and p_{y,x} may genuinely differ.  Expectations are
+summed in reduced integer ratios ``(n, d)`` by ``rationals.exact_dot``; a
+conditional expectation builds one ``Fraction`` per value of z.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NotAPartition,
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
-from .rationals import exact_ratios, parse_rational
+from .rationals import exact_dot, exact_ratios, parse_rational
 from .states import ConditionalState
 
 # SMap in annotations names smap.SMap, not imported: a command that reads no
@@ -71,8 +73,9 @@ def make_observable(
 def _partition(L: OrthomodularLattice, pairs: list[tuple[Fraction, int]]) -> Observable:
     """``make_observable`` for values that are already ``Fraction``s, such as
     computed ones, which the literal-size gate of ``parse_rational`` skips."""
-    values = [v for v, _ in pairs]
-    if len(set(values)) != len(values):
+    assignment = dict(pairs)
+    if len(assignment) != len(pairs):
+        values = [v for v, _ in pairs]
         dup = next(v for v in values if values.count(v) > 1)
         raise DuplicateValue(f"value {dup} assigned twice", witness=(str(dup),))
     elems = [e for _, e in pairs]
@@ -86,8 +89,7 @@ def _partition(L: OrthomodularLattice, pairs: list[tuple[Fraction, int]]) -> Obs
         raise NotAPartition(
             "events do not join to 1", witness=tuple(L.label(e) for e in elems)
         )
-    assignment = {v: e for v, e in pairs}
-    return Observable(L, tuple(sorted(values)), assignment)
+    return Observable(L, tuple(sorted(assignment)), assignment)
 
 
 class JointDistribution(namedtuple("JointDistribution", "x y table")):
@@ -120,12 +122,16 @@ def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
             f"{f.lattice.label(b)} is not a condition",
             witness=(f.lattice.label(b),),
         )
+    return Fraction(*_expectation(f, x, b))
+
+
+def _expectation(f: ConditionalState, x: Observable, b: int) -> tuple[int, int]:
+    """``expectation`` at a condition b, as a reduced ratio ``(n, d)``."""
     col = [f.table[(e, b)] for e in x.assignment.values()]
-    ratios = exact_ratios([*x.assignment, *col], f"x and f(., {f.lattice.label(b)})")
-    num, den = 0, 1
-    for (rn, rd), (fn, fd) in zip(ratios, ratios[len(col):]):
-        num, den = num * rd * fd + rn * fn * den, den * rd * fd
-    return Fraction(num, den)
+    dot = exact_dot(x.assignment, col)
+    if dot is None:  # raises, naming the first value or entry that is not exact
+        exact_ratios([*x.assignment, *col], f"x and f(., {f.lattice.label(b)})")
+    return dot
 
 
 def _checked_members(f: ConditionalState, B: BooleanSubalgebra) -> list[int]:
@@ -152,16 +158,16 @@ def conditional_expectation(
             raise AtomOutsideCS(
                 f"atom {L.label(atom)} is not a condition", witness=(L.label(atom),)
             )
-    fx = {b: expectation(f, x, b) for b in _checked_members(f, B)}
-    by_value: dict[Fraction, list[int]] = {}
+    fx = {b: _expectation(f, x, b) for b in _checked_members(f, B)}
+    by_value: dict[tuple[int, int], list[int]] = {}
     for atom in B.atoms:
         by_value.setdefault(fx[atom], []).append(atom)
-    z = _partition(L, [(value, L.join_all(atoms)) for value, atoms in by_value.items()])
+    z = _partition(L, [(Fraction(*v), L.join_all(atoms)) for v, atoms in by_value.items()])
     for b, lhs in fx.items():
-        rhs = expectation(f, z, b)
+        rhs = _expectation(f, z, b)
         if lhs != rhs:
             raise NoSolution(
-                f"f(x, {L.label(b)}) = {lhs} but the candidate gives {rhs}",
+                f"f(x, {L.label(b)}) = {Fraction(*lhs)} but the candidate gives {Fraction(*rhs)}",
                 witness=(L.label(b),),
             )
     return z

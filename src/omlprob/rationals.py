@@ -12,9 +12,9 @@ a ``Fraction`` are held to the same bound, so a ``Fraction`` reads back.
 A ``Decimal`` is read as its string, so NaN and Infinity are refused.  This
 is the one gate by which a caller's number becomes a ``Fraction``, or,
 through ``_ratio``, a reduced integer ratio.  A record's entries, ints
-and ``Fraction``s, become ratios through ``exact_ratios``.  A message shows
-a value read from a JSON document through ``literal``, a number as its
-decimal rather than a ``Fraction`` repr.
+and ``Fraction``s, become ratios through ``exact_ratios``, or are summed in
+ratios by ``exact_dot``.  A message shows a value read from a JSON document
+through ``literal``, a number as its decimal rather than a ``Fraction`` repr.
 """
 
 import re
@@ -101,6 +101,19 @@ def exact_ratios(values, where: str) -> list[tuple[int, int]]:
         bad = next(v for v in values if type(v) not in _EXACT)
         raise ParseError(f"refusing {bad!r} in {where}: entries must be int or Fraction")
     return ratios
+
+
+def exact_dot(weights, values) -> tuple[int, int] | None:
+    """The reduced ``(n, d)`` of Σ wᵢ·vᵢ, or None if a weight or a value is
+    not exactly an int or a Fraction; ``exact_ratios`` then names it."""
+    num, den = 0, 1
+    for w, v in zip(weights, values):
+        if type(w) not in _EXACT or type(v) not in _EXACT:
+            return None
+        (wn, wd), (vn, vd) = w.as_integer_ratio(), v.as_integer_ratio()
+        num, den = num * wd * vd + wn * vn * den, den * wd * vd
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def literal(value, depth: int = 8) -> str:

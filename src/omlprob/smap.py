@@ -193,8 +193,9 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
         col = [row[b] for row in P]
         if col[b] < 0:  # only in a hand-built p; _check_state needs D[b] > 0
             col = [-x for x in col]
-        R[b], D[b] = col, col[b]
-        sections[b] = [Fraction(x, D[b]) for x in col]
+        d = col[b]
+        R[b], D[b] = col, d
+        sections[b] = [ZERO if x == 0 else ONE if x == d else Fraction(x, d) for x in col]
     return _check_conditional_state(L, cs, sections, R, D)
 
 
@@ -221,8 +222,10 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
         if m != 0:
             col = [m] + [tab[(a, b)] for a in L.elements]
             (mn, md), *ratios = exact_ratios(col, f"f(., {L.label(b)})")
+            mf = Fraction(mn, md)  # p(a, b) where f(a, b) = 1
             for row, (n, d) in zip(rows, ratios):
-                row[b] = Fraction(n * mn, d * md)
+                if n:
+                    row[b] = mf if n == d else Fraction(n * mn, d * md)
     return _check_smap(L, tuple(map(tuple, rows)))
 
 

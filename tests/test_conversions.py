@@ -9,7 +9,7 @@ from itertools import chain
 import pytest
 
 import omlprob as q
-from omlprob import states
+from omlprob import smap, states
 from omlprob.errors import C1Violation, NoSolution, ParseError, S1Violation, S3Violation
 from omlprob.observables import Observable
 from omlprob.smap import SMap
@@ -132,6 +132,46 @@ def test_a_negative_diagonal_is_conditioned_like_the_oracle(example_smap, mo2, l
     with pytest.raises(C1Violation) as exc:
         q.smap_to_conditional(p)
     assert_same_failure(exc.value, want)
+
+
+@pytest.mark.parametrize("kind, n", [("mo", 2), ("boolean", 3)])
+def test_int_entries_convert_to_fractions(kind, n):
+    """A hand-built record whose entries 0 and 1 are ints, the marginal
+    f(1, 1) included, converts to ``Fraction`` entries equal to the
+    oracles', both ways."""
+    L = q.build_catalog(kind, n)
+    f = q.random_conditional_state(L, 0)
+    ints = {k: int(v) if v in (0, 1) else v for k, v in f.table.items()}
+    assert type(ints[(L.one, L.one)]) is int and 0 in ints.values()
+    f = ConditionalState(L, f.conditions, ints)
+    p = q.conditional_to_smap(f)
+    assert p.table == smap_of_conditional(f)
+    assert _all_fractions(chain.from_iterable(p.table))
+    g = q.smap_to_conditional(p)
+    assert g.table == conditional_of_smap(p)
+    assert _all_fractions(g.table.values())
+
+
+@pytest.mark.parametrize("label", ["a", "1"])
+def test_negative_diagonal_sections_are_fractions(example_smap, mo2, label, monkeypatch):
+    """The sections that ``smap_to_conditional`` hands to its checks, for a
+    hand-built table with p(x, x) < 0, are ``Fraction``s equal to the
+    oracle's quotients."""
+    x = mo2.id_of(label)
+    rows = [list(r) for r in example_smap.table]
+    rows[x][x] = -rows[x][x]
+    p = SMap(mo2, tuple(map(tuple, rows)))
+    seen = {}
+
+    def check(L, cs, sections, R, D):
+        seen.update({(a, b): v for b, col in sections.items() for a, v in zip(L.elements, col)})
+        return states._check_conditional_state(L, cs, sections, R, D)
+
+    monkeypatch.setattr(smap, "_check_conditional_state", check)
+    with pytest.raises(C1Violation):
+        q.smap_to_conditional(p)
+    assert seen == conditional_of_smap(p)
+    assert _all_fractions(seen.values())
 
 
 def test_prime_denominator_table_matches_the_oracles():

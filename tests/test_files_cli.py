@@ -831,6 +831,22 @@ class TestCondexpCommand:
             (GOLDEN / "condexp_y_given_a.json").read_text()
         )
 
+    @pytest.mark.parametrize("obs, atom", [("obs_x.json", "b"), ("obs_y.json", "a")])
+    def test_check_witnesses_are_both_sides(self, capsys, obs, atom):
+        """Each check line shows f(x, b) and f(z, b) as the oracle sums them."""
+        f_path = str(DATA / "two_blocks_f.json")
+        code, out = run(capsys, "condexp", "--f", f_path, "--observable", str(DATA / obs),
+                        "--atom", atom, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        f = files.load_conditional_state(files.load_document(f_path))
+        L = f.lattice
+        x = files.load_observable(files.load_document(str(DATA / obs)), L)
+        z = q.make_observable(L, [(v, L.id_of(e)) for v, e in report["values"]["z"]])
+        members = [b for b in sorted(L.boolean_subalgebra(L.id_of(atom)).members) if b != L.zero]
+        want = [f"{expectation_sum(f, x, b)} vs {expectation_sum(f, z, b)}" for b in members]
+        assert [c["witness"] for c in report["checks"]] == want
+
     def test_constant_observable_is_fixed_point(self, capsys, tmp_path):
         doc = {
             "type": "observable",

@@ -1,9 +1,14 @@
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import omlprob as q
+from omlprob.catalog import mo_blocks
 from omlprob.errors import AtomOutsideCS, DuplicateValue, NotAPartition, ParseError
+from omlprob.observables import Observable, _checked_members
+from omlprob.states import ConditionalState
 
 from oracles import expectation_sum
 
@@ -188,6 +193,70 @@ class TestConditionalExpectation:
         )
         with pytest.raises(AtomOutsideCS):
             q.conditional_expectation(f, obs_x, mo2.boolean_subalgebra(mo2.id_of("b")))
+
+    @pytest.mark.parametrize("bad", [0.4, True, "2/5", None], ids=repr)
+    @pytest.mark.parametrize("entry", ["1", "a"])
+    def test_a_non_exact_entry_raises_the_parse_error_of_expectation(
+        self, example_f, obs_x, mo2, entry, bad
+    ):
+        """x given {0, b, b', 1} is the constant 8/5 on 1, so f(1, b) is read
+        only when f(z, b) is checked, and f(a, b) only for f(x, b).  Either
+        raises the ParseError that expectation raises there, never a
+        TypeError."""
+        b = mo2.id_of("b")
+        f = ConditionalState(mo2, example_f.conditions, example_f.table | {(mo2.id_of(entry), b): bad})
+        z = q.make_observable(mo2, [(F(8, 5), mo2.one)])
+        with pytest.raises(ParseError) as want:
+            q.expectation(f, z if entry == "1" else obs_x, b)
+        with pytest.raises(ParseError) as got:
+            q.conditional_expectation(f, obs_x, mo2.boolean_subalgebra(b))
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
+
+
+@cache
+def _catalog(kind, n):
+    return q.build_catalog(kind, n)
+
+
+def _values(k):
+    """k distinct values, some with more digits than a literal may have."""
+    small = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+    huge = st.builds(lambda s, j: F(s, 10**999 + j), st.sampled_from((-1, 1)), st.integers(1, 50))
+    return st.lists(st.one_of(small, huge), min_size=k, max_size=k, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("boolean", n) for n in range(2, 6)] + [("mo", n) for n in range(2, 9)]),
+    st.integers(0, 2**16),
+    st.sampled_from((2, 3)),
+    st.data(),
+)
+def test_conditional_expectation_matches_the_sums(shape, seed, k, data):
+    """z, and f(x, b) and f(z, b) on each checked member, equal the
+    ``Fraction`` sums of ``expectation_sum`` on a random conditional state,
+    for an observable with 2 or 3 values on the atoms of boolean(n) or on
+    one block of mo(n) (an event may be 0 or 1); every value is a
+    ``Fraction``."""
+    L = _catalog(*shape)
+    f = q.random_conditional_state(L, seed)
+    parts = L.atoms if shape[0] == "boolean" else data.draw(st.sampled_from(mo_blocks(L)))
+    group = data.draw(st.lists(st.integers(0, k - 1), min_size=len(parts), max_size=len(parts)))
+    events = [L.join_all(a for a, g in zip(parts, group) if g == i) for i in range(k)]
+    x = q.make_observable(L, zip(data.draw(_values(k)), events))
+    B = L.boolean_subalgebra(data.draw(st.sampled_from(L.elements)))
+    by_value = {}
+    for atom in B.atoms:
+        by_value.setdefault(expectation_sum(f, x, atom), []).append(atom)
+    want = {v: L.join_all(atoms) for v, atoms in by_value.items()}
+    z = q.conditional_expectation(f, x, B)
+    assert z == Observable(L, tuple(sorted(want)), want)
+    assert all(type(v) is F for v in z.spectrum)
+    for b in _checked_members(f, B):
+        for obs in (x, z):
+            got = q.expectation(f, obs, b)
+            assert got == expectation_sum(f, x, b) and type(got) is F
 
 
 class TestCompatibleObservablesCommute:
