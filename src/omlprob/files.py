@@ -43,19 +43,6 @@ from .states import ConditionalState, State, validate_conditional_state, validat
 # a command loads only the modules of the documents it reads; in annotations
 # SMap and Observable name smap.SMap and observables.Observable.
 
-# kind -> (the field that marks an untyped document of the kind, the fields
-# it allows besides "type", the stages of its checks in order), in inference
-# order: a conditional state also has a "table", so it precedes the s-map.
-DOCUMENT_KINDS = {
-    "lattice": ("labels", {"labels", "leq", "ortho", "zero", "one"},
-                ("poset", "lattice", "ortholattice", "orthomodular")),
-    "state": ("values", {"lattice", "values"}, ("normalized", "additive")),
-    "conditional_state": ("conditions", {"lattice", "conditions", "table"}, ("C1", "C2", "C3")),
-    "observable": ("assignment", {"lattice", "assignment"}, ("partition",)),
-    "smap": ("table", {"lattice", "table"}, ("s1", "s2", "s3")),
-}
-
-
 def _json_int(text: str) -> int:
     return _ratio(text)[0]  # bounds the digit count first
 
@@ -226,6 +213,8 @@ def load_conditional_state(
         key = L.id_of(b), L.id_of(a)
         if key in table:
             raise SchemaError(f"'table' gives f({b}, {a}) twice")
+        if key[1] not in cs:
+            raise SchemaError(f"'table' gives f({b}, {a}) but {a} is not a condition")
         table[key] = parse_rational(v)
     # Rows the state axioms force may be omitted: f(0, a) = 0, f(1, a) = 1.
     for a in cs:
@@ -277,6 +266,22 @@ def load_observable(doc: Mapping, L: OrthomodularLattice | None = None) -> Obser
     )
 
 
+# kind -> (the field that marks an untyped document of the kind, the fields
+# it allows besides "type", the stages of its checks in order, its loader),
+# in inference order: a conditional state also has a "table", so it precedes
+# the s-map.
+DOCUMENT_KINDS = {
+    "lattice": ("labels", {"labels", "leq", "ortho", "zero", "one"},
+                ("poset", "lattice", "ortholattice", "orthomodular"),
+                lambda doc, L: load_lattice(doc)),
+    "state": ("values", {"lattice", "values"}, ("normalized", "additive"), load_state),
+    "conditional_state": ("conditions", {"lattice", "conditions", "table"}, ("C1", "C2", "C3"),
+                          load_conditional_state),
+    "observable": ("assignment", {"lattice", "assignment"}, ("partition",), load_observable),
+    "smap": ("table", {"lattice", "table"}, ("s1", "s2", "s3"), load_smap),
+}
+
+
 def load_typed(doc: Mapping, L: OrthomodularLattice | None = None, kinds=()):
     """Dispatch on the document type; returns the validated object.
 
@@ -286,14 +291,7 @@ def load_typed(doc: Mapping, L: OrthomodularLattice | None = None, kinds=()):
     kind = document_type(doc)
     if kinds and kind not in kinds:
         raise _expected(kinds, kind)
-    loaders = {
-        "lattice": lambda doc, L: load_lattice(doc),
-        "state": load_state,
-        "conditional_state": load_conditional_state,
-        "smap": load_smap,
-        "observable": load_observable,
-    }
-    return loaders[kind](doc, L)
+    return DOCUMENT_KINDS[kind][3](doc, L)
 
 
 # --- writers -----------------------------------------------------------------

@@ -5,10 +5,11 @@ compatible pairs it collapses to the diagonal at a∧b; on noncompatible pairs
 it may be asymmetric, which is where the one-way independence witnessed by
 ``scan_asymmetric_pairs`` lives.
 
-s1–s3 are checked in one integer kernel, ``_check_scaled_smap``, on the
-table as ``states._scaled`` scales it.  ``validate_smap`` and the
-conversions reach it through ``_check_smap``, which scales a table of
-``Fraction``s.  ``files.load_smap`` first parses every literal to an integer
+s1–s3 are checked in one integer kernel, ``_check_scaled_smap``, which takes
+only the table as ``states._scaled`` scales it.  ``validate_smap`` and
+``conditional_to_smap`` reach it through ``_check_smap``, which scales a
+table of ``Fraction``s; ``conditional_to_smap`` alone builds them before
+the check.  ``files.load_smap`` first parses every literal to an integer
 ratio; ``_smap_of_ratios`` fills in the entries s1–s3 force, the one place
 that rule is stated, then scales and checks the ratios, and builds the
 ``Fraction``s only for a table that passes.
@@ -87,8 +88,7 @@ def _missing(L: OrthomodularLattice, a: int, b: int) -> S1Violation:
 
 def _check_smap(L: OrthomodularLattice, rows) -> SMap:
     """s1–s3 for ``rows``, a total tuple of rows of ``Fraction``s."""
-    vals, top = _scale_to_integers(rows)
-    _check_scaled_smap(L, vals, top, lambda a, b: rows[a][b])
+    _check_scaled_smap(L, *_scale_to_integers(rows))
     return SMap(L, rows)
 
 
@@ -119,25 +119,24 @@ def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
         if None in row:
             raise _missing(L, a, row.index(None))
     scaled, top = _scaled(ratios)
-    _check_scaled_smap(L, [list(map(scaled.__getitem__, row)) for row in cell], top,
-                       lambda a, b: Fraction(*ratios[cell[a][b]]))
+    _check_scaled_smap(L, [list(map(scaled.__getitem__, row)) for row in cell], top)
     fracs = scaled if top is ONE else [Fraction(n, d) for n, d in ratios]
     return SMap(L, tuple(tuple(map(fracs.__getitem__, row)) for row in cell))
 
 
-def _check_scaled_smap(L: OrthomodularLattice, vals, top, value) -> None:
+def _check_scaled_smap(L: OrthomodularLattice, vals, top) -> None:
     """Raise the first s1–s3 failure of the table p, given as ``vals``, the
     rows of top·p as lists (ints, or p's ``Fraction``s with ``top`` = 1 past
-    2**MAX_SCALE_BITS); ``value(a, b)`` is p(a, b), for an S1 message."""
+    2**MAX_SCALE_BITS); a message shows p(a, b) as vals[a][b]/top."""
     for a, row in enumerate(vals):
         if min(row) < 0 or max(row) > top:
             b = next(b for b, x in enumerate(row) if not 0 <= x <= top)
             raise S1Violation(
-                f"p({L.label(a)}, {L.label(b)}) = {value(a, b)} outside [0,1]",
+                f"p({L.label(a)}, {L.label(b)}) = {Fraction(row[b], top)} outside [0,1]",
                 witness=(L.label(a), L.label(b)),
             )
     if vals[L.one][L.one] != top:
-        raise S1Violation(f"p(1,1) = {value(L.one, L.one)} ≠ 1")
+        raise S1Violation(f"p(1,1) = {Fraction(vals[L.one][L.one], top)} ≠ 1")
     # s2 on both orders of every ⊥ pair and on 0 ⊥ 0; the least (a, b) is
     # the first failure an entry-by-entry walk of the rows meets.
     nonzero = [(x, y) for a, b, _ in L.orthogonal_pairs for x, y in ((a, b), (b, a)) if vals[x][y]]
@@ -188,15 +187,14 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
             witness=exc.witness,
         ) from exc
     P, _ = _scale_to_integers(p.table)
-    sections, R, D = {}, {}, {}
-    for b in cs:
-        col = [row[b] for row in P]
-        if col[b] < 0:  # only in a hand-built p; _check_state needs D[b] > 0
-            col = [-x for x in col]
-        d = col[b]
-        R[b], D[b] = col, d
-        sections[b] = [ZERO if x == 0 else ONE if x == d else Fraction(x, d) for x in col]
-    return _check_conditional_state(L, cs, sections, R, D)
+    # Negated where P[b][b] < 0 (only in a hand-built p): _check_state needs D[b] > 0.
+    R = {b: [row[b] for row in P] if P[b][b] > 0 else [-row[b] for row in P] for b in cs}
+    D = {b: R[b][b] for b in cs}
+    _check_conditional_state(L, cs, R, D)
+    return ConditionalState(L, cs, {
+        (a, b): ZERO if x == 0 else ONE if x == d else Fraction(x, d)
+        for b, col in R.items() for d in (D[b],) for a, x in enumerate(col)
+    })
 
 
 def conditional_to_smap(f: ConditionalState) -> SMap:

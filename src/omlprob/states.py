@@ -2,11 +2,11 @@
 
 All probabilities are exact ``Fraction`` values; independence and the mixing
 law C3 are equality statements, so nothing here tolerates floating point.
-The axioms of states, conditional states and s-maps are checked on tables
-scaled to integers by the lcm of their denominators (``_scaled``, on ratios
-from ``rationals.exact_ratios``); reports and returned objects hold the
-``Fraction`` values.  A caller's numbers pass ``rationals.parse_rational``
-and its size bound.
+The axioms of states, conditional states and s-maps are checked by kernels
+that take only the table scaled to integers by the lcm of its denominators
+(``_scaled``, on ratios from ``rationals.exact_ratios``) and raise or return
+None; each entry point then builds its record of ``Fraction`` values.  A
+caller's numbers pass ``rationals.parse_rational`` and its size bound.
 """
 
 from __future__ import annotations
@@ -110,20 +110,22 @@ def validate_state(L: OrthomodularLattice, values) -> State:
         vals = tuple(map(parse_rational, values))
     if len(vals) != len(L):
         raise NotNormalized("state table is not total")
-    ints, top = _scaled(exact_ratios(vals, "the state table"))
-    return _check_state(L, vals, ints, top)
+    _check_state(L, *_scaled(exact_ratios(vals, "the state table")))
+    return State(L, vals)
 
 
-def _check_state(L: OrthomodularLattice, vals, ints, top) -> State:
-    """``validate_state``'s checks of ``vals``, given also as ``ints`` =
-    top·vals with top > 0 (ints, or ``Fraction``s past 2**MAX_SCALE_BITS)."""
+def _check_state(L: OrthomodularLattice, ints, top) -> None:
+    """``validate_state``'s checks of m, given as ``ints`` = top·m with top > 0
+    (ints, or ``Fraction``s past 2**MAX_SCALE_BITS); m(a) shows as ints[a]/top."""
     if min(ints) < 0 or max(ints) > top:
         a = next(a for a, x in enumerate(ints) if not 0 <= x <= top)
-        raise NotNormalized(f"m({L.label(a)}) = {vals[a]} outside [0,1]", witness=(L.label(a),))
+        raise NotNormalized(
+            f"m({L.label(a)}) = {Fraction(ints[a], top)} outside [0,1]", witness=(L.label(a),)
+        )
     if ints[L.zero] != 0:
-        raise NotNormalized(f"m(0) = {vals[L.zero]} ≠ 0", witness=(L.label(L.zero),))
+        raise NotNormalized(f"m(0) = {Fraction(ints[L.zero], top)} ≠ 0", witness=(L.label(L.zero),))
     if ints[L.one] != top:
-        raise NotNormalized(f"m(1) = {vals[L.one]} ≠ 1", witness=(L.label(L.one),))
+        raise NotNormalized(f"m(1) = {Fraction(ints[L.one], top)} ≠ 1", witness=(L.label(L.one),))
     hit = _first_nonadditive(L.orthogonal_pairs, [[x] for x in ints])
     if hit is not None:
         (a, b, _), _ = hit
@@ -132,7 +134,6 @@ def _check_state(L: OrthomodularLattice, vals, ints, top) -> State:
             f"m({L.label(a)}) + m({L.label(b)})",
             witness=(L.label(a), L.label(b)),
         )
-    return State(L, vals)
 
 
 class ConditionalState(namedtuple("ConditionalState", "lattice conditions table")):
@@ -186,7 +187,8 @@ def validate_conditional_state(
     in the iteration order of cs (each through ``_check_state``, on R_a), to
     name its first failure.  C3 at index b is the ``Fraction`` equation
     at b times D_j·D₁·D₂ > 0, so the first index where the lists differ is
-    the first failing b; only its message is computed in ``Fraction``s.
+    the first failing b, and its two sides are the two list entries over
+    D_j·D₁·D₂.  The record is built only after the checks pass.
     Pairs are taken from ``L.orthogonal_pairs`` in its lexicographic order,
     keeping those with both ends in cs, with b innermost, so the first
     failure reported is the first one an exhaustive walk over families of
@@ -201,14 +203,14 @@ def validate_conditional_state(
             b, a = (L.label(x) for x in exc.args[0])
             raise C1Violation(f"table missing f({b}, {a})", witness=(b, a)) from None
         R[a], D[a] = _scaled(exact_ratios(sections[a], "the conditional-state table"))
-    return _check_conditional_state(L, cs, sections, R, D)
+    _check_conditional_state(L, cs, R, D)
+    return ConditionalState(L, cs, {(b, a): x for a in cs for b, x in zip(L.elements, sections[a])})
 
 
-def _check_conditional_state(L, cs, sections, R, D) -> ConditionalState:
-    """C1–C3 for the ``Fraction`` sections f(., a), a in the conditional
-    system cs, given also as rows R[a] = D[a]·f(., a) with D[a] > 0 (ints,
-    or ``Fraction``s past 2**MAX_SCALE_BITS); see validate_conditional_state."""
-    tab = {(b, a): x for a in cs for b, x in zip(L.elements, sections[a])}
+def _check_conditional_state(L, cs, R, D) -> None:
+    """C1–C3 for the sections f(., a), a in the conditional system cs, given
+    as rows R[a] = D[a]·f(., a) with D[a] > 0 (ints, or ``Fraction``s past
+    2**MAX_SCALE_BITS); see validate_conditional_state."""
     holds = all(
         min(r) >= 0 and max(r) <= D[a] and r[L.zero] == 0 and r[L.one] == r[a] == D[a]
         for a, r in R.items()
@@ -217,15 +219,15 @@ def _check_conditional_state(L, cs, sections, R, D) -> ConditionalState:
     if not holds or _first_nonadditive(L.orthogonal_pairs, T) is not None:
         for a in cs:
             try:
-                _check_state(L, sections[a], R[a], D[a])
+                _check_state(L, R[a], D[a])
             except (NotNormalized, NotAdditive) as exc:
                 raise C1Violation(
                     f"f(., {L.label(a)}) is not a state: {exc}",
                     witness=(L.label(a), exc.witness),
                 ) from exc
-            if tab[(a, a)] != 1:
+            if R[a][a] != D[a]:
                 raise C2Violation(
-                    f"f({L.label(a)}, {L.label(a)}) = {tab[(a, a)]} ≠ 1",
+                    f"f({L.label(a)}, {L.label(a)}) = {Fraction(R[a][a], D[a])} ≠ 1",
                     witness=(L.label(a),),
                 )
     for a1, a2, j in L.orthogonal_pairs:
@@ -237,14 +239,12 @@ def _check_conditional_state(L, cs, sections, R, D) -> ConditionalState:
         rhs = [w1 * x + w2 * y for x, y in zip(R[a1], R[a2])]
         if lhs != rhs:
             b = next(b for b, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            mix = tab[(a1, j)] * tab[(b, a1)] + tab[(a2, j)] * tab[(b, a2)]
             fam = (L.label(a1), L.label(a2))
             raise C3Violation(
-                f"f({L.label(b)}, {L.label(j)}) = {tab[(b, j)]} but the "
-                f"mixture over {fam} gives {mix}",
+                f"f({L.label(b)}, {L.label(j)}) = {Fraction(lhs[b], d12 * D[j])} but the "
+                f"mixture over {fam} gives {Fraction(rhs[b], d12 * D[j])}",
                 witness=(L.label(b), fam),
             )
-    return ConditionalState(L, cs, tab)
 
 
 def build_conditional_state(

@@ -9,7 +9,7 @@ from itertools import chain
 import pytest
 
 import omlprob as q
-from omlprob import smap, states
+from omlprob import states
 from omlprob.errors import C1Violation, NoSolution, ParseError, S1Violation, S3Violation
 from omlprob.observables import Observable
 from omlprob.smap import SMap
@@ -153,25 +153,19 @@ def test_int_entries_convert_to_fractions(kind, n):
 
 
 @pytest.mark.parametrize("label", ["a", "1"])
-def test_negative_diagonal_sections_are_fractions(example_smap, mo2, label, monkeypatch):
-    """The sections that ``smap_to_conditional`` hands to its checks, for a
-    hand-built table with p(x, x) < 0, are ``Fraction``s equal to the
-    oracle's quotients."""
+def test_negative_diagonal_sections_are_fractions(example_smap, mo2, label):
+    """A hand-built table whose column x is negated, p(x, x) < 0 included,
+    conditions to the oracle's quotients, each a ``Fraction``: section x is
+    the column with its sign flipped, over p(x, x)."""
     x = mo2.id_of(label)
     rows = [list(r) for r in example_smap.table]
-    rows[x][x] = -rows[x][x]
+    for row in rows:
+        row[x] = -row[x]
     p = SMap(mo2, tuple(map(tuple, rows)))
-    seen = {}
-
-    def check(L, cs, sections, R, D):
-        seen.update({(a, b): v for b, col in sections.items() for a, v in zip(L.elements, col)})
-        return states._check_conditional_state(L, cs, sections, R, D)
-
-    monkeypatch.setattr(smap, "_check_conditional_state", check)
-    with pytest.raises(C1Violation):
-        q.smap_to_conditional(p)
-    assert seen == conditional_of_smap(p)
-    assert _all_fractions(seen.values())
+    assert p(x, x) < 0
+    f = q.smap_to_conditional(p)
+    assert f.table == conditional_of_smap(p)
+    assert _all_fractions(f.table.values())
 
 
 def test_prime_denominator_table_matches_the_oracles():

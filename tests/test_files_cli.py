@@ -482,6 +482,38 @@ def test_repeated_conditional_state_entry_exits_2(capsys, tmp_path, value):
     assert "error = 'table' gives f(a, 1) twice\n" in capsys.readouterr().err
 
 
+NOT_A_CONDITION = pytest.mark.parametrize(
+    "triple", [["a", "0", "7/3"], ["0", "0", "0"]], ids=["out-of-range", "forced-value"]
+)
+
+
+def _with_triple(tmp_path, triple):
+    doc = _with_cells("two_blocks_f.json", {})
+    assert triple[1] not in doc["conditions"]
+    doc["table"].append(triple)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@NOT_A_CONDITION
+def test_entry_under_a_non_condition_is_refused(tmp_path, triple):
+    """f(b, a) for an a outside "conditions" is refused, not dropped, even
+    when its value is the one the axioms would force."""
+    b, a, _ = triple
+    with pytest.raises(SchemaError) as exc:
+        files.load_typed(files.load_document(_with_triple(tmp_path, triple)))
+    assert str(exc.value) == f"'table' gives f({b}, {a}) but {a} is not a condition"
+
+
+@NOT_A_CONDITION
+def test_entry_under_a_non_condition_exits_2(capsys, tmp_path, triple):
+    b, a, _ = triple
+    assert main(["validate", _with_triple(tmp_path, triple)]) == 2
+    err = capsys.readouterr().err
+    assert f"error = 'table' gives f({b}, {a}) but {a} is not a condition\n" in err
+
+
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     """Every command of the README's CLI block exits 0, in order, with its
     /tmp paths moved under a fresh directory."""
