@@ -7,6 +7,11 @@ traceback).  Reports are printed as text or as versioned JSON
 and a non-terminating decimal is an error (exit 2) unless ``--approx`` allows
 a float approximation.
 
+``main`` makes the one ``Report``, and each ``cmd_*`` fills it in.  ``main``
+alone maps it to an exit code: 0 if every check passed, 1 if one failed; an
+error a command raises replaces it.  ``--lattice`` is declared once, for the
+four table commands validate, convert, indep and condexp.
+
 Each subcommand imports, inside its function, the modules that only it
 runs, so a command loads and compiles no code it does not run: ``validate`` loads
 neither ``catalog`` nor ``observables``, and ``files`` imports ``smap`` or
@@ -88,25 +93,22 @@ def _staged_checks(report: Report, prefix: str, stages, loader) -> None:
 
 
 def _load_context_lattice(args) -> OrthomodularLattice | None:
-    if getattr(args, "lattice", None):
+    if args.lattice:
         return files.load_typed(files.load_document(args.lattice), kinds=("lattice",))
     return None
 
 
-def cmd_validate(args, fmt_value) -> tuple[Report, int]:
-    report = Report()
+def cmd_validate(args, report: Report, fmt_value) -> None:
     L = _load_context_lattice(args)
     for path in args.paths:
         doc = files.load_document(path)
         stages = files.DOCUMENT_KINDS[files.document_type(doc)][2]
         _staged_checks(report, os.path.basename(path), stages, lambda: files.load_typed(doc, L))
-    return report, EXIT_OK if report.status == "ok" else EXIT_INVALID
 
 
-def cmd_convert(args, fmt_value) -> tuple[Report, int]:
+def cmd_convert(args, report: Report, fmt_value) -> None:
     from .smap import SMap, conditional_to_smap, smap_to_conditional
 
-    report = Report()
     L = _load_context_lattice(args)
     doc = files.load_document(args.path)
     ref = doc.get("lattice") if isinstance(doc.get("lattice"), (str, dict)) else None
@@ -119,13 +121,11 @@ def cmd_convert(args, fmt_value) -> tuple[Report, int]:
         report.check("convert:conditional_state->smap", True)
     files.write_document(args.output, out)
     report.values["output"] = args.output
-    return report, EXIT_OK
 
 
-def cmd_indep(args, fmt_value) -> tuple[Report, int]:
+def cmd_indep(args, report: Report, fmt_value) -> None:
     from .smap import SMap, conditional_to_smap, is_independent_product, scan_asymmetric_pairs
 
-    report = Report()
     L = _load_context_lattice(args)
     p = files.load_typed(files.load_document(args.path), L, ("smap", "conditional_state"))
     if not isinstance(p, SMap):
@@ -143,13 +143,11 @@ def cmd_indep(args, fmt_value) -> tuple[Report, int]:
         report.values["independent_reversed"] = is_independent_product(p, a, b)
         report.values[f"p({blab},{alab})"] = fmt_value(p(b, a))
         report.values[f"p({alab},{alab})*p({blab},{blab})"] = fmt_value(p(a, a) * p(b, b))
-    return report, EXIT_OK
 
 
-def cmd_condexp(args, fmt_value) -> tuple[Report, int]:
+def cmd_condexp(args, report: Report, fmt_value) -> None:
     from .observables import _checked_members, conditional_expectation, expectation
 
-    report = Report()
     L = _load_context_lattice(args)
     f = files.load_typed(files.load_document(args.f), L, ("conditional_state",))
     L = f.lattice
@@ -163,14 +161,12 @@ def cmd_condexp(args, fmt_value) -> tuple[Report, int]:
     for b in _checked_members(f, B):
         lhs, rhs = fmt_value(expectation(f, x, b)), fmt_value(expectation(f, z, b))
         report.check(f"condexp:f(x,{L.label(b)})=f(z,{L.label(b)})", True, f"{lhs} vs {rhs}")
-    return report, EXIT_OK
 
 
-def cmd_gen(args, fmt_value) -> tuple[Report, int]:
+def cmd_gen(args, report: Report, fmt_value) -> None:
     from .catalog import random_smap, raw_structure
     from .smap import smap_to_conditional
 
-    report = Report()
     emit = {item.strip() for item in args.emit.split(",")} - {""}
     unknown = emit - {"lattice", "smap", "conditional_state"}
     if unknown:
@@ -182,24 +178,18 @@ def cmd_gen(args, fmt_value) -> tuple[Report, int]:
     os.makedirs(args.outdir, exist_ok=True)
     stem = args.kind if args.kind in ("o6", "chain2") else f"{args.kind}{args.n}"
     lattice_name = f"{stem}_lattice.json"
-
-    def _path(suffix):
-        return os.path.join(args.outdir, f"{stem}_{suffix}.json")
-
-    files.write_document(_path("lattice"), raw)  # the tables name it
-    report.values["lattice"] = _path("lattice")
-    if "conditional_state" in emit or "smap" in emit:
+    docs = {"lattice": raw}  # the tables name it
+    if emit - {"lattice"}:
         p = random_smap(files.load_lattice(raw), args.seed)
         if "conditional_state" in emit:
-            files.write_document(
-                _path("conditional_state"),
-                files.conditional_state_document(smap_to_conditional(p), lattice_name),
+            docs["conditional_state"] = files.conditional_state_document(
+                smap_to_conditional(p), lattice_name
             )
-            report.values["conditional_state"] = _path("conditional_state")
         if "smap" in emit:
-            files.write_document(_path("smap"), files.smap_document(p, lattice_name))
-            report.values["smap"] = _path("smap")
-    return report, EXIT_OK
+            docs["smap"] = files.smap_document(p, lattice_name)
+    for kind, doc in docs.items():
+        report.values[kind] = os.path.join(args.outdir, f"{stem}_{kind}.json")
+        files.write_document(report.values[kind], doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,34 +212,33 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         parser.add_argument(flag, **kw)
         common.add_argument(flag, **{**kw, "default": argparse.SUPPRESS}, help=text)
+    parser.set_defaults(lattice=None)  # gen reads no lattice
+    tables = argparse.ArgumentParser(add_help=False, parents=[common])
+    tables.add_argument("--lattice", help="lattice file for table documents")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", help="check files against their axioms", parents=[common])
+    sp = sub.add_parser("validate", help="check files against their axioms", parents=[tables])
     sp.add_argument("paths", nargs="+")
-    sp.add_argument("--lattice", help="lattice file for table documents")
     sp.set_defaults(fn=cmd_validate)
 
-    sp = sub.add_parser("convert", help="s-map <-> conditional state", parents=[common])
+    sp = sub.add_parser("convert", help="s-map <-> conditional state", parents=[tables])
     sp.add_argument("path")
     sp.add_argument("-o", "--output", required=True)
-    sp.add_argument("--lattice")
     sp.set_defaults(fn=cmd_convert)
 
-    sp = sub.add_parser("indep", help="product-form independence queries", parents=[common])
+    sp = sub.add_parser("indep", help="product-form independence queries", parents=[tables])
     sp.add_argument("path", help="s-map (or conditional state) file")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--scan", action="store_true", help="list asymmetric pairs")
     group.add_argument(
         "--pair", nargs=2, metavar=("B", "A"), help="test whether B is independent of A"
     )
-    sp.add_argument("--lattice")
     sp.set_defaults(fn=cmd_indep)
 
-    sp = sub.add_parser("condexp", help="conditional expectation onto {0,d,d',1}", parents=[common])
+    sp = sub.add_parser("condexp", help="conditional expectation onto {0,d,d',1}", parents=[tables])
     sp.add_argument("--f", required=True, help="conditional state file")
     sp.add_argument("--observable", required=True, help="observable file")
     sp.add_argument("--atom", required=True, help="generator d of the subalgebra")
-    sp.add_argument("--lattice")
     sp.set_defaults(fn=cmd_condexp)
 
     sp = sub.add_parser("gen", help="emit catalog lattices and random tables", parents=[common])
@@ -271,32 +260,26 @@ def main(argv=None) -> int:
     def fmt_value(q):
         return format_rational(q, decimal=args.decimal, approx=args.approx)
 
+    def fail(error: str, code: int) -> int:
+        print(Report("error", {"error": error}).render(args.format), file=sys.stderr)
+        return code
+
+    report = Report()
     try:
-        report, code = args.fn(args, fmt_value)
+        args.fn(args, report, fmt_value)
     except (InputError, OSError) as exc:
-        print(
-            Report(status="error", values={"error": str(exc)}).render(args.format),
-            file=sys.stderr,
-        )
-        return EXIT_IO
+        return fail(str(exc), EXIT_IO)
     except OmlError as exc:
-        report = Report(status="error")
+        report = Report()
         report.check(type(exc).__name__, False, str(exc))
-        print(report.render(args.format))
-        return EXIT_INVALID
     except Exception as exc:
-        print(
-            Report(
-                status="error", values={"error": f"internal error: {type(exc).__name__}: {exc}"}
-            ).render(args.format),
-            file=sys.stderr,
-        )
+        code = fail(f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
         import traceback  # only on this path: the import slows start-up
 
         traceback.print_exc()
-        return EXIT_INTERNAL
+        return code
     print(report.render(args.format))
-    return code
+    return EXIT_OK if report.status == "ok" else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -41,6 +41,20 @@ from .errors import (
 from .rationals import literal
 
 
+class _LabelIndex:
+    """The label -> id lookup of a lattice, the one rule for an unknown or
+    unhashable label; ``build_lattice`` uses it before the lattice exists."""
+
+    def __init__(self, index: dict):
+        self._index = index
+
+    def id_of(self, label: str) -> int:
+        try:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise LatticeInputError(f"unknown element label {literal(label)}") from None
+
+
 def _bits(mask: int):
     """Iterate the set bit positions of mask, in ascending order."""
     while mask:
@@ -58,7 +72,7 @@ class BooleanSubalgebra(namedtuple("BooleanSubalgebra", "lattice members atoms")
         return a in self.members
 
 
-class OrthomodularLattice:
+class OrthomodularLattice(_LabelIndex):
     """A finite bounded lattice with a validated orthocomplementation."""
 
     def __init__(self, labels, index, join_table, ortho, zero, one, pairs, atoms):
@@ -87,12 +101,6 @@ class OrthomodularLattice:
 
     def label(self, a: int) -> str:
         return self.labels[a]
-
-    def id_of(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except (KeyError, TypeError):  # TypeError: an unhashable label
-            raise LatticeInputError(f"unknown element label {literal(label)}") from None
 
     def leq(self, a: int, b: int) -> bool:
         return self._join[a][b] == b
@@ -176,25 +184,24 @@ def build_lattice(
     """
     labels = tuple(labels)
     n = len(labels)
-    if len(set(labels)) != n:
+    try:
+        index = {lab: i for i, lab in enumerate(labels)}
+    except TypeError as exc:
+        raise LatticeInputError(f"label is not hashable ({exc})") from None
+    if len(index) != n:
         raise LatticeInputError("duplicate labels")
     if n == 0:
         raise LatticeInputError("empty lattice")
     if n > MAX_ELEMENTS:
         raise LatticeInputError(f"{n} elements, more than MAX_ELEMENTS = {MAX_ELEMENTS}")
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    def _id(lab):
-        if lab not in index:
-            raise LatticeInputError(f"unknown element label {literal(lab)}")
-        return index[lab]
+    id_of = _LabelIndex(index).id_of
 
     # Kahn's topological sort of the generating pairs, self-pairs dropped;
     # an element left unplaced lies on or above a cycle.
     succ = [[] for _ in range(n)]
     indeg = [0] * n
     for x, y in leq_pairs:
-        i, j = _id(x), _id(y)
+        i, j = id_of(x), id_of(y)
         if i != j:
             succ[i].append(j)
             indeg[j] += 1
@@ -258,7 +265,7 @@ def build_lattice(
     # Each pair sets ⊥ both ways and a conflict is refused, so ⊥⊥ = id.
     ortho = [-1] * n
     for x, y in ortho_pairs:
-        i, j = _id(x), _id(y)
+        i, j = id_of(x), id_of(y)
         for a, b in ((i, j), (j, i)):
             if ortho[a] not in (-1, b):
                 raise LatticeInputError(f"conflicting orthocomplement for {labels[a]}")

@@ -171,7 +171,8 @@ def _check_scaled_smap(L: OrthomodularLattice, vals, top) -> None:
 
 def nu_state(p: SMap) -> State:
     """The diagonal state ν(b) = p(b, b)."""
-    return validate_state(p.lattice, [p(b, b) for b in p.lattice.elements])
+    diag = exact_ratios([p(b, b) for b in p.lattice.elements], "the s-map table")
+    return validate_state(p.lattice, [Fraction(n, d) for n, d in diag])
 
 
 def smap_to_conditional(p: SMap) -> ConditionalState:

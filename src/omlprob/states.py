@@ -270,11 +270,14 @@ def build_conditional_state(
             raise NotOrthogonalFamily(
                 f"{L.label(a)} ⊥̸ {L.label(b)}", witness=(L.label(a), L.label(b))
             )
+    sections = []
     for a, alpha in zip(atoms, alphas):
-        if alpha(a) != 1:
+        ratios = exact_ratios(alpha.values, f"the alpha of {L.label(a)}")
+        if ratios[a] != (1, 1):
             raise AlphaNotConcentrated(
-                f"alpha({L.label(a)}) = {alpha(a)} ≠ 1", witness=(L.label(a),)
+                f"alpha({L.label(a)}) = {Fraction(*ratios[a])} ≠ 1", witness=(L.label(a),)
             )
+        sections.append([Fraction(n, d) for n, d in ratios])
     weights = [parse_rational(w) for w in k]
     if any(not (ZERO <= w <= ONE) for w in weights) or sum(weights) != 1:
         raise WeightsNotNormalized(f"weights {weights} are not a convex combination")
@@ -287,7 +290,7 @@ def build_conditional_state(
             top = L.join_all(atoms[i] for i in S)
             mass = sum(weights[i] for i in S)
             if size == 1:
-                section = alphas[S[0]].values
+                section = sections[S[0]]
             elif mass == 0:
                 raise ZeroMassCondition(
                     f"subfamily {tuple(L.label(atoms[i]) for i in S)} has weight 0",
@@ -295,7 +298,7 @@ def build_conditional_state(
                 )
             else:
                 section = tuple(
-                    sum((weights[i] / mass) * alphas[i](d) for i in S)
+                    sum((weights[i] / mass) * sections[i][d] for i in S)
                     for d in L.elements
                 )
             if top in conditions:
@@ -321,9 +324,10 @@ def is_independent(f: ConditionalState, b: int, a: int, c: int) -> bool:
             raise ConditionOutsideCS(
                 f"{L.label(x)} is not a condition", witness=(L.label(x),)
             )
-    if f(c, a) != 1:
+    ca, bc, ba = exact_ratios((f(c, a), f(b, c), f(b, a)), "the conditional-state table")
+    if ca != (1, 1):
         raise PreconditionFCA(
-            f"f({L.label(c)}, {L.label(a)}) = {f(c, a)} ≠ 1",
+            f"f({L.label(c)}, {L.label(a)}) = {Fraction(*ca)} ≠ 1",
             witness=(L.label(c), L.label(a)),
         )
-    return f(b, c) == f(b, a)
+    return bc == ba

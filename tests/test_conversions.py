@@ -225,6 +225,31 @@ def test_float_entries_are_refused(example_f, example_smap, mo2):
                 q.is_independent_product(p, mo2.one, a)
 
 
+@pytest.mark.parametrize("bad", ["1/2", "1", 0.12], ids=repr)
+def test_record_readers_refuse_non_exact_entries(example_f, example_smap, mo2, bad):
+    """nu_state, is_independent and build_conditional_state read a record's
+    entries through exact_ratios, so a string or a float is refused by name
+    before it is compared or multiplied."""
+    a, ap, b = (mo2.id_of(x) for x in ("a", "a'", "b"))
+    refused = f"refusing {bad!r} in {{}}: entries must be int or Fraction"
+    rows = [list(r) for r in example_smap.table]
+    rows[a][a] = bad
+    with pytest.raises(ParseError) as exc:
+        q.nu_state(SMap(mo2, tuple(map(tuple, rows))))
+    assert str(exc.value) == refused.format("the s-map table")
+    f = ConditionalState(mo2, example_f.conditions, example_f.table | {(mo2.one, a): bad})
+    with pytest.raises(ParseError) as exc:
+        q.is_independent(f, b, a, mo2.one)
+    assert str(exc.value) == refused.format("the conditional-state table")
+    for x in (a, b):
+        vals = list(example_f.state_given(a).values)
+        vals[x] = bad
+        alphas = [q.State(mo2, tuple(vals)), example_f.state_given(ap)]
+        with pytest.raises(ParseError) as exc:
+            q.build_conditional_state(mo2, [a, ap], alphas, [F(1, 2), F(1, 2)])
+        assert str(exc.value) == refused.format("the alpha of a")
+
+
 def test_no_solution_names_the_failing_member(example_f, mo2):
     """A hand-built table that breaks the law of total expectation at 1."""
     b, bp = mo2.id_of("b"), mo2.id_of("b'")

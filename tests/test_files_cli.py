@@ -209,7 +209,7 @@ class TestElementBound:
 class TestInternalError:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_unexpected_exception_exits_3(self, capsys, monkeypatch, fmt):
-        def broken(args, fmt_value):
+        def broken(args, report, fmt_value):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "cmd_validate", broken)
@@ -322,6 +322,33 @@ def test_unhashable_label_exits_2(capsys, tmp_path, kind):
     err = capsys.readouterr().err
     assert "status: error" in err
     assert "Traceback" not in err
+
+
+def _state_document(values):
+    return {"type": "state", "lattice": str(DATA / "mo2_lattice.json"), "values": values}
+
+
+def _conditional_state_document(table):
+    doc = json.loads((DATA / "two_blocks_f.json").read_text(encoding="utf-8"))
+    return doc | {"lattice": str(DATA / "mo2_lattice.json"), "table": table}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "{path}: top-level value must be an object"),
+    (_state_document(["0", "1"]), "'values' must be an object keyed by element label"),
+    (_state_document({"0": "0", "1": "1"}), "'values' must cover every element exactly once"),
+    (_conditional_state_document([["a", "a"]]),
+     "'table' must be a list of [element, condition, value] triples"),
+], ids=["top-level-list", "values-list", "values-partial", "table-pairs"])
+def test_malformed_document_exits_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    message = message.format(path=path)
+    with pytest.raises(SchemaError) as exc:
+        files.load_typed(files.load_document(str(path)))
+    assert str(exc.value) == message
+    assert main(["validate", str(path)]) == cli.EXIT_IO == 2
+    assert capsys.readouterr() == ("", f"status: error\nerror = {message}\n")
 
 
 def _with_cells(name, cells):
@@ -745,6 +772,17 @@ class TestConvertCommand:
         got = json.loads((tmp_path / "p2.json").read_text())
         assert got["lattice"] == doc["lattice"] and got["table"] == doc["table"]
 
+    @pytest.mark.parametrize("field", [5, ["mo2_lattice.json"]], ids=repr)
+    def test_unread_lattice_field_is_not_written(self, capsys, tmp_path, field):
+        """With --lattice the input's "lattice" field is not read, so one that
+        is neither a path nor a lattice object stays out of the output."""
+        doc = json.loads((DATA / "two_blocks_f.json").read_text(encoding="utf-8")) | {"lattice": field}
+        path, out = tmp_path / "f.json", tmp_path / "p.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["convert", str(path), "-o", str(out), "--lattice", str(DATA / "mo2_lattice.json")]
+        assert run(capsys, *argv)[0] == 0
+        assert "lattice" not in json.loads(out.read_text(encoding="utf-8"))
+
     def test_invalid_input_surfaces_violation(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_f.json").read_text())
         doc["lattice"] = json.loads((DATA / "mo2_lattice.json").read_text())
@@ -983,6 +1021,18 @@ class TestGenCommand:
     def test_refused_emit_writes_nothing(self, capsys, tmp_path, kind, emit, message):
         assert main(["gen", "--kind", kind, "--emit", emit, "-o", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, message", [
+        ("boolean", "boolean lattice needs at least one atom"),
+        ("mo", "mo(n) needs at least one block"),
+    ])
+    def test_no_atoms_exits_2(self, capsys, tmp_path, kind, message):
+        with pytest.raises(errors.LatticeInputError) as exc:
+            q.raw_structure(kind, 0)
+        assert str(exc.value) == message
+        assert main(["gen", "--kind", kind, "--n", "0", "-o", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"status: error\nerror = {message}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_emitted_table_validates_alone(self, capsys, tmp_path):

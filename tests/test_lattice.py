@@ -163,6 +163,20 @@ class TestBuild:
         with pytest.raises(LatticeInputError):
             q.build_lattice(["0", "0"], [], [])
 
+    @pytest.mark.parametrize("labels, leq, ortho, message", [
+        (["0", "1"], [(["x"], "1")], [("0", "1")], "unknown element label ['x']"),
+        (["0", "1"], [("0", "1")], [({"x": 1}, "1")], "unknown element label {'x': 1}"),
+        (["0", "1", ["a"]], [], [], "label is not hashable (unhashable type: 'list')"),
+        ([], [], [], "empty lattice"),
+        (["0", "a", "a'", "1"], [["0", "a"], ["a", "1"], ["0", "a'"], ["a'", "1"]],
+         [["0", "1"], ["a", "a'"], ["a", "1"]], "conflicting orthocomplement for a"),
+    ], ids=["unhashable-in-leq", "unhashable-in-ortho", "unhashable-label", "empty",
+            "conflicting-ortho"])
+    def test_malformed_input_is_refused(self, labels, leq, ortho, message):
+        with pytest.raises(LatticeInputError) as exc:
+            q.build_lattice(labels, leq, ortho)
+        assert str(exc.value) == message
+
     def test_partial_ortho_map(self):
         with pytest.raises(LatticeInputError):
             q.build_lattice(["0", "a", "a'", "1"],

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import omlprob as q
 from omlprob.catalog import mo_blocks
-from omlprob.errors import AtomOutsideCS, DuplicateValue, NotAPartition, ParseError
+from omlprob.errors import (
+    AtomOutsideCS,
+    ConditionOutsideCS,
+    DuplicateValue,
+    NotAPartition,
+    ParseError,
+)
 from omlprob.observables import Observable, _checked_members
 from omlprob.states import ConditionalState
 
@@ -193,6 +199,18 @@ class TestConditionalExpectation:
         )
         with pytest.raises(AtomOutsideCS):
             q.conditional_expectation(f, obs_x, mo2.boolean_subalgebra(mo2.id_of("b")))
+
+    def test_one_outside_cs(self, mo2, example_f, obs_x):
+        f = ConditionalState(mo2, example_f.conditions - {mo2.one}, example_f.table)
+        with pytest.raises(AtomOutsideCS) as exc:
+            q.conditional_expectation(f, obs_x, mo2.boolean_subalgebra(mo2.id_of("a")))
+        assert str(exc.value) == "1 is not a condition"
+        assert exc.value.witness == ("1",)
+
+    def test_expectation_outside_cs(self, mo2, example_f, obs_x):
+        with pytest.raises(ConditionOutsideCS) as exc:
+            q.expectation(example_f, obs_x, mo2.zero)
+        assert str(exc.value) == "0 is not a condition"
 
     @pytest.mark.parametrize("bad", [0.4, True, "2/5", None], ids=repr)
     @pytest.mark.parametrize("entry", ["1", "a"])

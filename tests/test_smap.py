@@ -69,6 +69,18 @@ class TestValidateSMap:
         assert str(exc.value) == message
 
 
+    @pytest.mark.parametrize("cut", ["row", "entry"])
+    def test_short_table_is_not_total(self, mo2, cut):
+        rows = [[F(0)] * len(mo2) for _ in mo2.elements]
+        if cut == "row":
+            rows.pop()
+        else:
+            rows[-1].pop()
+        with pytest.raises(S1Violation) as exc:
+            q.validate_smap(mo2, rows)
+        assert str(exc.value) == "table is not total"
+
+
 class TestNuState:
     def test_example_diagonal(self, example_smap, mo2):
         nu = q.nu_state(example_smap)

@@ -1,0 +1,36 @@
+"""Rules on the source of src/omlprob, enforced by the tier-1 suite."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "omlprob"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def test_no_unused_import():
+    """Every module, __init__.py included, uses each name it imports."""
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name} is imported but unused")
+    assert MODULES
+    assert unused == []
+
+
+def test_as_integer_ratio_only_in_rationals():
+    """Record entries become integer ratios only through
+    rationals.exact_ratios, so no other module calls as_integer_ratio."""
+    found = [
+        f"{path.name}:{lineno}"
+        for path in MODULES
+        if path.name != "rationals.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "as_integer_ratio" in line
+    ]
+    assert found == []

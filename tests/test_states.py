@@ -60,8 +60,19 @@ class TestValidateState:
         with pytest.raises(NotNormalized):
             q.validate_state(mo2, vals)
 
+    def test_short_sequence_is_not_total(self, mo2):
+        with pytest.raises(NotNormalized) as exc:
+            q.validate_state(mo2, mo2_state(mo2, F(2, 5), F(3, 10))[:-1])
+        assert str(exc.value) == "state table is not total"
+
 
 class TestValidateConditionalState:
+    def test_call_outside_cs_is_refused(self, mo2, example_f):
+        with pytest.raises(ConditionOutsideCS) as exc:
+            example_f(mo2.id_of("a"), mo2.zero)
+        assert str(exc.value) == "0 is not a condition"
+        assert exc.value.witness == ("0",)
+
     def test_example_table_valid(self, example_f, mo2):
         assert example_f(mo2.id_of("b"), mo2.id_of("a'")) == F(11, 30)
         assert example_f.conditions == frozenset(
@@ -140,6 +151,12 @@ class TestBuildConditionalState:
         alphas = [example_f.state_given(ap), example_f.state_given(ap)]
         with pytest.raises(AlphaNotConcentrated):
             q.build_conditional_state(mo2, [a, ap], alphas, [F(1, 2), F(1, 2)])
+
+    def test_misaligned_inputs(self, mo2, example_f):
+        atoms, alphas = self._block_alphas(mo2, example_f)
+        with pytest.raises(WeightsNotNormalized) as exc:
+            q.build_conditional_state(mo2, atoms, alphas[:1], [F(1, 2), F(1, 2)])
+        assert str(exc.value) == "atoms, alphas and weights must align"
 
     def test_weights_not_normalized(self, mo2, example_f):
         atoms, alphas = self._block_alphas(mo2, example_f)
