@@ -111,7 +111,7 @@ def cmd_convert(args, report: Report, fmt_value) -> None:
 
     L = _load_context_lattice(args)
     doc = files.load_document(args.path)
-    ref = doc.get("lattice") if isinstance(doc.get("lattice"), (str, dict)) else None
+    ref = doc.get("lattice")
     obj = files.load_typed(doc, L, ("smap", "conditional_state"))
     if isinstance(obj, SMap):
         out = files.conditional_state_document(smap_to_conditional(obj), ref)

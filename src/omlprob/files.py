@@ -140,6 +140,8 @@ def _open(doc: Mapping, kind: str, L: OrthomodularLattice | None = None):
 
     Returns the lattice of a table document: ``L`` if given, else the one its
     "lattice" field holds inline or names by a path relative to the document.
+    A "lattice" field that is neither is refused, whether or not ``L`` is
+    given.
     """
     if doc.get("type", kind) != kind:
         raise _expected((kind,), doc["type"])
@@ -147,17 +149,17 @@ def _open(doc: Mapping, kind: str, L: OrthomodularLattice | None = None):
     unknown = set(doc) - fields - {"type"}
     if unknown:
         raise SchemaError(f"unknown fields for {kind}: {sorted(unknown)}")
+    ref = doc.get("lattice")
+    if "lattice" in doc and not (isinstance(ref, dict) or isinstance(ref, str) and ref):
+        raise SchemaError("'lattice' must be a lattice object or a non-empty path")
     if L is not None or "lattice" not in fields:
         return L
-    ref = doc.get("lattice")
+    if ref is None:
+        raise SchemaError("no lattice given and the document does not reference one")
     if isinstance(ref, dict):
         return load_lattice(ref)
-    if ref == "":
-        raise SchemaError("'lattice' must be a lattice object or a non-empty path")
-    if isinstance(ref, str):
-        base = os.path.dirname(getattr(doc, "path", "."))
-        return _referenced_lattice(os.path.join(base, ref))
-    raise SchemaError("no lattice given and the document does not reference one")
+    base = os.path.dirname(getattr(doc, "path", "."))
+    return _referenced_lattice(os.path.join(base, ref))
 
 
 def _pairs(doc, field):

@@ -10,9 +10,12 @@ A literal is refused before any ``Fraction`` is built if it has more than
 three-million-digit integer.  An ``int`` and the numerator and denominator of
 a ``Fraction`` are held to the same bound, so a ``Fraction`` reads back.
 A ``Decimal`` is read as its string, so NaN and Infinity are refused.  This
-is the one gate by which a caller's number becomes a ``Fraction``, or,
-through ``_ratio``, a reduced integer ratio.  A record's entries, ints
-and ``Fraction``s, become ratios through ``exact_ratios``, or are summed in
+is the one gate by which a caller's number becomes a reduced integer ratio:
+``_ratio``.  ``parse_rational`` is that gate plus the record rule (an exact
+``Fraction`` is kept as the caller's object, anything else becomes the
+``Fraction`` of its ratio), and ``_read_entries`` applies both to a
+validator's entries, reading each once.  A record's entries, ints and
+``Fraction``s, become ratios through ``exact_ratios``, or are summed in
 ratios by ``exact_dot``.  A message shows a value read from a JSON document
 through ``literal``, a number as its decimal rather than a ``Fraction`` repr.
 """
@@ -47,9 +50,14 @@ def _check_literal_size(text: str) -> None:
 
 def _ratio(value) -> tuple[int, int]:
     """``value`` as a reduced ratio ``(n, d)`` of ints with d > 0: the grammar
-    and bounds of ``parse_rational``, without building a ``Fraction`` for an
-    ``int`` or a ``"p/q"`` string."""
-    # str first: the Fraction test goes through ABCMeta.__instancecheck__.
+    and bounds of ``parse_rational``, without building a ``Fraction``."""
+    # The exact type first, a validator's usual entry; a subclass is caught
+    # below, after str, since isinstance goes through ABCMeta.__instancecheck__.
+    if type(value) is Fraction:
+        n, d = ratio = value.as_integer_ratio()
+        if abs(n) < _INT_BOUND and d < _INT_BOUND:
+            return ratio
+        raise ParseError(_TOO_LONG)
     if isinstance(value, str):
         _check_literal_size(value)
         try:
@@ -64,13 +72,11 @@ def _ratio(value) -> tuple[int, int]:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     if isinstance(value, Fraction):
-        if abs(value.numerator) < _INT_BOUND and value.denominator < _INT_BOUND:
-            return value.numerator, value.denominator
-        raise ParseError(_TOO_LONG)
+        return _ratio(Fraction(value))
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {literal(value)}")
     if isinstance(value, int):
-        if not -_INT_BOUND < value < _INT_BOUND:
+        if abs(value) >= _INT_BOUND:
             raise ParseError(_TOO_LONG)
         return value, 1
     if isinstance(value, float):
@@ -86,11 +92,21 @@ def parse_rational(value) -> Fraction:
     """Parse an int, Fraction, Decimal, "p/q" string or decimal string exactly.
 
     A ``Fraction`` within the bound is returned as the same object."""
-    if type(value) is Fraction and (
-        abs(value.numerator) < _INT_BOUND and value.denominator < _INT_BOUND
-    ):
-        return value
-    return Fraction(*_ratio(value))
+    ratio = _ratio(value)
+    return value if type(value) is Fraction else Fraction(*ratio)
+
+
+def _read_entries(values) -> tuple[list[Fraction], list[tuple[int, int]]]:
+    """``values``, iterated once, each entry read once through ``_ratio``:
+    the entries ``parse_rational`` would return, and their reduced ratios.
+    An entry is taken from the iterator only after the one before it is
+    read, so a lookup behind the iterator fails after that read."""
+    entries, ratios = [], []
+    for x in values:
+        r = _ratio(x)
+        ratios.append(r)
+        entries.append(x if type(x) is Fraction else Fraction(*r))
+    return entries, ratios
 
 
 def exact_ratios(values, where: str) -> list[tuple[int, int]]:

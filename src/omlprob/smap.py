@@ -6,13 +6,14 @@ it may be asymmetric, which is where the one-way independence witnessed by
 ``scan_asymmetric_pairs`` lives.
 
 s1–s3 are checked in one integer kernel, ``_check_scaled_smap``, which takes
-only the table as ``states._scaled`` scales it.  ``validate_smap`` and
-``conditional_to_smap`` reach it through ``_check_smap``, which scales a
-table of ``Fraction``s; ``conditional_to_smap`` alone builds them before
-the check.  ``files.load_smap`` first parses every literal to an integer
-ratio; ``_smap_of_ratios`` fills in the entries s1–s3 force, the one place
-that rule is stated, then scales and checks the ratios, and builds the
-``Fraction``s only for a table that passes.
+only the table as ``states._scaled`` scales it.  ``validate_smap`` reads
+each of the caller's entries once (``rationals._read_entries``) and scales
+the ratios; ``conditional_to_smap`` builds its ``Fraction``s, then scales
+them for the kernel (``states._scale_to_integers``).  ``files.load_smap``
+first parses every literal to an integer ratio; ``_smap_of_ratios`` fills in
+the entries s1–s3 force, the one place that rule is stated, then scales and
+checks the ratios, and builds the ``Fraction``s only for a table that
+passes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from operator import itemgetter
 
 from .errors import (
     DomainTooSmall,
@@ -31,7 +31,7 @@ from .errors import (
     NotAConditionalSystem,
 )
 from .lattice import OrthomodularLattice
-from .rationals import exact_ratios, parse_rational
+from .rationals import _read_entries, exact_ratios
 from .states import (
     ONE,
     ZERO,
@@ -67,29 +67,26 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
     The axioms are checked on the table scaled to a common denominator;
     reports and the returned table hold the ``Fraction`` values.
     """
+    n = len(L)
     if isinstance(table, Mapping):
         # Row-major, so the first missing entry in that order is the one named.
         try:
             keyed = (map(table.__getitem__, [(a, b) for b in L.elements]) for a in L.elements)
-            rows = tuple(tuple(map(parse_rational, row)) for row in keyed)
+            read = list(map(_read_entries, keyed))
         except KeyError as exc:
             raise _missing(L, *exc.args[0]) from exc
     else:
-        rows = tuple(tuple(map(parse_rational, row)) for row in table)
-        if len(rows) != len(L) or any(len(r) != len(L) for r in rows):
+        read = list(map(_read_entries, table))
+        if len(read) != n or any(len(row) != n for row, _ in read):
             raise S1Violation("table is not total")
-    return _check_smap(L, rows)
+    vals, top = _scaled([r for _, ratios in read for r in ratios])
+    _check_scaled_smap(L, [vals[i:i + n] for i in range(0, n * n, n)], top)
+    return SMap(L, tuple(tuple(row) for row, _ in read))
 
 
 def _missing(L: OrthomodularLattice, a: int, b: int) -> S1Violation:
     a, b = L.label(a), L.label(b)
     return S1Violation(f"table missing entry p({a}, {b})", witness=(a, b))
-
-
-def _check_smap(L: OrthomodularLattice, rows) -> SMap:
-    """s1–s3 for ``rows``, a total tuple of rows of ``Fraction``s."""
-    _check_scaled_smap(L, *_scale_to_integers(rows))
-    return SMap(L, rows)
 
 
 def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
@@ -148,7 +145,7 @@ def _check_scaled_smap(L: OrthomodularLattice, vals, top) -> None:
             f"p({L.label(a)}, {L.label(b)}) ≠ 0 on an orthogonal pair",
             witness=(L.label(a), L.label(b)),
         )
-    cols = [list(map(itemgetter(c), vals)) for c in L.elements]
+    cols = list(map(list, zip(*vals)))
     hits = [
         (hit, side)
         for side, T in enumerate((vals, cols))
@@ -171,8 +168,9 @@ def _check_scaled_smap(L: OrthomodularLattice, vals, top) -> None:
 
 def nu_state(p: SMap) -> State:
     """The diagonal state ν(b) = p(b, b)."""
-    diag = exact_ratios([p(b, b) for b in p.lattice.elements], "the s-map table")
-    return validate_state(p.lattice, [Fraction(n, d) for n, d in diag])
+    diag = [p(b, b) for b in p.lattice.elements]
+    exact_ratios(diag, "the s-map table")
+    return validate_state(p.lattice, diag)
 
 
 def smap_to_conditional(p: SMap) -> ConditionalState:
@@ -188,8 +186,9 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
             witness=exc.witness,
         ) from exc
     P, _ = _scale_to_integers(p.table)
+    cols = list(zip(*P))
     # Negated where P[b][b] < 0 (only in a hand-built p): _check_state needs D[b] > 0.
-    R = {b: [row[b] for row in P] if P[b][b] > 0 else [-row[b] for row in P] for b in cs}
+    R = {b: cols[b] if P[b][b] > 0 else [-x for x in cols[b]] for b in cs}
     D = {b: R[b][b] for b in cs}
     _check_conditional_state(L, cs, R, D)
     return ConditionalState(L, cs, {
@@ -225,7 +224,9 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
             for row, (n, d) in zip(rows, ratios):
                 if n:
                     row[b] = mf if n == d else Fraction(n * mn, d * md)
-    return _check_smap(L, tuple(map(tuple, rows)))
+    rows = tuple(map(tuple, rows))
+    _check_scaled_smap(L, *_scale_to_integers(rows))
+    return SMap(L, rows)
 
 
 def is_independent_product(p: SMap, b: int, a: int) -> bool:

@@ -4,9 +4,14 @@ All probabilities are exact ``Fraction`` values; independence and the mixing
 law C3 are equality statements, so nothing here tolerates floating point.
 The axioms of states, conditional states and s-maps are checked by kernels
 that take only the table scaled to integers by the lcm of its denominators
-(``_scaled``, on ratios from ``rationals.exact_ratios``) and raise or return
-None; each entry point then builds its record of ``Fraction`` values.  A
-caller's numbers pass ``rationals.parse_rational`` and its size bound.
+(``_scaled``) and raise or return None; each entry point then builds its
+record of ``Fraction`` values.  A validator reads each of a caller's entries
+once, through ``rationals._read_entries``: the size bound of
+``parse_rational`` and the reduced ratio in one call, and the record keeps
+an exact ``Fraction`` as the caller's object.  Tables the package builds
+itself are read through ``rationals.exact_ratios``.  State additivity is
+one scalar comparison per orthogonal pair, m(a) + m(b) = m(a ∨ b) on the
+scaled entries.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm
-from operator import add, itemgetter
+from operator import add
 
 from .errors import (
     AlphaNotConcentrated,
@@ -32,7 +37,7 @@ from .errors import (
     ZeroMassCondition,
 )
 from .lattice import OrthomodularLattice
-from .rationals import exact_ratios, parse_rational
+from .rationals import _read_entries, exact_ratios, parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -102,21 +107,23 @@ def validate_state(L: OrthomodularLattice, values) -> State:
     """
     if isinstance(values, Mapping):
         try:
-            vals = tuple(parse_rational(values[a]) for a in L.elements)
+            vals, ratios = _read_entries(map(values.__getitem__, L.elements))
         except KeyError as exc:
             a = L.label(exc.args[0])
             raise NotNormalized(f"state table missing m({a})", witness=(a,)) from None
     else:
-        vals = tuple(map(parse_rational, values))
+        vals, ratios = _read_entries(values)
     if len(vals) != len(L):
         raise NotNormalized("state table is not total")
-    _check_state(L, *_scaled(exact_ratios(vals, "the state table")))
-    return State(L, vals)
+    _check_state(L, *_scaled(ratios))
+    return State(L, tuple(vals))
 
 
 def _check_state(L: OrthomodularLattice, ints, top) -> None:
     """``validate_state``'s checks of m, given as ``ints`` = top·m with top > 0
-    (ints, or ``Fraction``s past 2**MAX_SCALE_BITS); m(a) shows as ints[a]/top."""
+    (ints, or ``Fraction``s past 2**MAX_SCALE_BITS); m(a) shows as ints[a]/top.
+    Additivity is one scalar comparison per pair of ``L.orthogonal_pairs``,
+    taken in its order."""
     if min(ints) < 0 or max(ints) > top:
         a = next(a for a, x in enumerate(ints) if not 0 <= x <= top)
         raise NotNormalized(
@@ -126,14 +133,13 @@ def _check_state(L: OrthomodularLattice, ints, top) -> None:
         raise NotNormalized(f"m(0) = {Fraction(ints[L.zero], top)} ≠ 0", witness=(L.label(L.zero),))
     if ints[L.one] != top:
         raise NotNormalized(f"m(1) = {Fraction(ints[L.one], top)} ≠ 1", witness=(L.label(L.one),))
-    hit = _first_nonadditive(L.orthogonal_pairs, [[x] for x in ints])
-    if hit is not None:
-        (a, b, _), _ = hit
-        raise NotAdditive(
-            f"m({L.label(a)} ∨ {L.label(b)}) ≠ "
-            f"m({L.label(a)}) + m({L.label(b)})",
-            witness=(L.label(a), L.label(b)),
-        )
+    for a, b, j in L.orthogonal_pairs:
+        if ints[a] + ints[b] != ints[j]:
+            raise NotAdditive(
+                f"m({L.label(a)} ∨ {L.label(b)}) ≠ "
+                f"m({L.label(a)}) + m({L.label(b)})",
+                witness=(L.label(a), L.label(b)),
+            )
 
 
 class ConditionalState(namedtuple("ConditionalState", "lattice conditions table")):
@@ -174,12 +180,17 @@ def validate_conditional_state(
     by the law for the (k−1)-family (induction on k) yields
     f(b, ⋁a) = Σᵢ f(aᵢ, ⋁a)·f(b, aᵢ).
 
+    Each entry is looked up and read once (``rationals._read_entries``),
+    section by section in the iteration order of cs and by element id within
+    one, an entry's read before the next entry's lookup; of a malformed
+    entry and a missing one, the first met in that order is raised.
+
     The axioms are checked on integers: each section f(., a) is scaled by the
     lcm D_a of its own denominators to a row R_a (past 2**MAX_SCALE_BITS the
     section keeps its ``Fraction``s and D_a = 1).  C1 bounds, f(0, a) = 0,
     f(1, a) = D_a and C2 (R_a[a] = D_a) are ``int`` comparisons, and
     additivity is checked for every section at once on the rows transposed
-    to per-element lists.  C3 at a pair (a₁, a₂) with join j, multiplied
+    (``zip``) to per-element lists.  C3 at a pair (a₁, a₂) with join j, multiplied
     through by D_j·D₁·D₂, is the one list comparison
     D₁·D₂·R_j = (R_j[a₁]·D₂)·R_{a₁} + (R_j[a₂]·D₁)·R_{a₂}.
 
@@ -195,16 +206,19 @@ def validate_conditional_state(
     increasing size would meet.
     """
     L.check_conditional_system(cs)
-    sections, R, D = {}, {}, {}
+    keys, entries, R, D = [], [], {}, {}
     for a in cs:
+        section = [(b, a) for b in L.elements]
         try:
-            sections[a] = [parse_rational(table[(b, a)]) for b in L.elements]
+            read, ratios = _read_entries(map(table.__getitem__, section))
         except KeyError as exc:
             b, a = (L.label(x) for x in exc.args[0])
             raise C1Violation(f"table missing f({b}, {a})", witness=(b, a)) from None
-        R[a], D[a] = _scaled(exact_ratios(sections[a], "the conditional-state table"))
+        keys += section
+        entries += read
+        R[a], D[a] = _scaled(ratios)
     _check_conditional_state(L, cs, R, D)
-    return ConditionalState(L, cs, {(b, a): x for a in cs for b, x in zip(L.elements, sections[a])})
+    return ConditionalState(L, cs, dict(zip(keys, entries)))
 
 
 def _check_conditional_state(L, cs, R, D) -> None:
@@ -215,8 +229,9 @@ def _check_conditional_state(L, cs, R, D) -> None:
         min(r) >= 0 and max(r) <= D[a] and r[L.zero] == 0 and r[L.one] == r[a] == D[a]
         for a, r in R.items()
     )
-    T = [list(map(itemgetter(x), R.values())) for x in L.elements]
-    if not holds or _first_nonadditive(L.orthogonal_pairs, T) is not None:
+    # T[x] lists R[a][x] over the sections a; T is empty if cs is.
+    T = list(map(list, zip(*R.values())))
+    if not holds or (T and _first_nonadditive(L.orthogonal_pairs, T) is not None):
         for a in cs:
             try:
                 _check_state(L, R[a], D[a])

@@ -103,6 +103,49 @@ def test_inexact_or_oversized_inputs_are_refused(mo2, name, bad):
         _entry_points(mo2)[name](bad)
 
 
+class FractionSubclass(F):
+    """A ``Fraction`` of another type: it passes ``isinstance`` but not the
+    exact-type test validators read ``Fraction`` entries by."""
+
+
+def _numbers(out):
+    """Every number of a record an entry point returns."""
+    if isinstance(out, q.State):
+        return list(out.values)
+    if isinstance(out, q.ConditionalState):
+        return list(out.table.values())
+    if isinstance(out, q.SMap):
+        return [x for row in out.table for x in row]
+    return [*out.spectrum, *out.assignment]  # an Observable
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_fraction_subclass_reads_as_the_equal_fraction(mo2, name):
+    call = _entry_points(mo2)[name]
+    want, got = call(F(1)), call(FractionSubclass(1))
+    assert got == want
+    assert all(type(x) is F for x in _numbers(got))
+
+
+# Exact Fractions past the bound (10**MAX_DIGITS) in the denominator only,
+# on both sides, and in a subclass.
+OUT_OF_BOUND_FRACTIONS = {
+    "huge-denominator": F(1, 10**MAX_DIGITS),
+    "huge-both": F(10**5000 + 1, 10**5000),
+    "huge-subclass": FractionSubclass(10**MAX_DIGITS + 1, 10**MAX_DIGITS),
+}
+
+
+@pytest.mark.parametrize("bad", OUT_OF_BOUND_FRACTIONS.values(), ids=OUT_OF_BOUND_FRACTIONS)
+def test_an_exact_fraction_past_the_bound_raises_the_same_error_everywhere(mo2, bad):
+    messages = set()
+    for name, call in _entry_points(mo2).items():
+        with pytest.raises(ParseError) as exc:
+            call(bad)
+        messages.add(str(exc.value))
+    assert messages == {f"numeric literal has more than {MAX_DIGITS} digits"}
+
+
 def _unscaled_table(L, den=2**1025 + 1):
     """A conditional state on mo(2) whose sections at 1, b and b' hold
     m(a) = 1/den, past the 2**1024 scaling bound: f(x, c) = m(x) for x in the

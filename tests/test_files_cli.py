@@ -93,6 +93,30 @@ class TestFileLoading:
         assert main(["validate", str(path)]) == 2
         assert "'lattice' must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [5, None, [], ["mo2_lattice.json"]], ids=repr)
+    @pytest.mark.parametrize("given", [False, True], ids=["no-flag", "lattice-flag"])
+    def test_malformed_lattice_field_is_refused(self, capsys, tmp_path, field, given):
+        """A "lattice" field that is neither a non-empty path nor a lattice
+        object is refused with exit 2, also when --lattice names the lattice."""
+        doc = json.loads((DATA / "two_blocks_f.json").read_text(encoding="utf-8")) | {"lattice": field}
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        flag = ["--lattice", str(DATA / "mo2_lattice.json")] if given else []
+        assert main(["validate", str(path), *flag]) == 2
+        assert "'lattice' must be a lattice object or a non-empty path" in capsys.readouterr().err
+        L = files.load_lattice(files.load_document(str(DATA / "mo2_lattice.json"))) if given else None
+        with pytest.raises(SchemaError, match="'lattice' must be a lattice object"):
+            files.load_typed(doc, L)
+
+    def test_absent_lattice_field_keeps_its_message(self, capsys, tmp_path):
+        doc = json.loads((DATA / "two_blocks_f.json").read_text(encoding="utf-8"))
+        del doc["lattice"]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert "no lattice given and the document does not reference one" in capsys.readouterr().err
+        assert main(["validate", str(path), "--lattice", str(DATA / "mo2_lattice.json")]) == 0
+
     def test_documents_round_trip(self, tmp_path, example_f, example_smap):
         fdoc = files.conditional_state_document(example_f)
         fdoc["lattice"] = files.lattice_document(example_f.lattice)
@@ -773,15 +797,17 @@ class TestConvertCommand:
         assert got["lattice"] == doc["lattice"] and got["table"] == doc["table"]
 
     @pytest.mark.parametrize("field", [5, ["mo2_lattice.json"]], ids=repr)
-    def test_unread_lattice_field_is_not_written(self, capsys, tmp_path, field):
-        """With --lattice the input's "lattice" field is not read, so one that
-        is neither a path nor a lattice object stays out of the output."""
+    def test_malformed_lattice_field_is_refused(self, capsys, tmp_path, field):
+        """With --lattice the input's "lattice" field is still checked: one
+        that is neither a path nor a lattice object is refused with exit 2
+        and no output is written."""
         doc = json.loads((DATA / "two_blocks_f.json").read_text(encoding="utf-8")) | {"lattice": field}
         path, out = tmp_path / "f.json", tmp_path / "p.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["convert", str(path), "-o", str(out), "--lattice", str(DATA / "mo2_lattice.json")]
-        assert run(capsys, *argv)[0] == 0
-        assert "lattice" not in json.loads(out.read_text(encoding="utf-8"))
+        assert main(argv) == 2
+        assert "'lattice' must be a lattice object or a non-empty path" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_input_surfaces_violation(self, capsys, tmp_path):
         doc = json.loads((DATA / "two_blocks_f.json").read_text())

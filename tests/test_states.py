@@ -13,6 +13,7 @@ from omlprob.errors import (
     NotAdditive,
     NotNormalized,
     NotOrthogonalFamily,
+    ParseError,
     PreconditionFCA,
     WeightsNotNormalized,
     ZeroMassCondition,
@@ -97,6 +98,10 @@ class TestValidateConditionalState:
         with pytest.raises(C1Violation):
             q.validate_conditional_state(mo2, cs, table)
 
+    def test_empty_conditional_system_has_the_empty_table(self, mo2):
+        f = q.validate_conditional_state(mo2, frozenset(), {})
+        assert f.conditions == frozenset() and f.table == {}
+
     def test_c2_violation(self, mo2):
         cs, table = two_blocks_table(mo2)
         a, ap = mo2.id_of("a"), mo2.id_of("a'")
@@ -104,6 +109,69 @@ class TestValidateConditionalState:
         table[(ap, a)] = F(1, 10)
         with pytest.raises(C2Violation):
             q.validate_conditional_state(mo2, cs, table)
+
+
+class TestReadOrder:
+    """A table with two faults raises the one met first when the sections
+    (conditions in the iteration order of cs) are read one after another,
+    each entry by element id, its lookup and its read together."""
+
+    def _faults(self, L, first, second):
+        """A valid table with ``first`` and ``second``, each ("bad" or
+        "missing", (b, a)), applied."""
+        cs, table = two_blocks_table(L)
+        for kind, key in (first, second):
+            if kind == "bad":
+                table[key] = "zz"
+            else:
+                del table[key]
+        return cs, table
+
+    def _outcome(self, L, cs, table):
+        with pytest.raises((ParseError, C1Violation)) as exc:
+            q.validate_conditional_state(L, cs, table)
+        return type(exc.value), str(exc.value)
+
+    @pytest.mark.parametrize("order", ["bad-first", "missing-first"])
+    def test_across_sections(self, mo2, order):
+        cs, _ = two_blocks_table(mo2)
+        early, late = list(cs)[0], list(cs)[-1]
+        b = mo2.id_of("b")
+        faults = [("bad", (b, early)), ("missing", (b, late))]
+        if order == "missing-first":
+            faults = [("missing", (b, early)), ("bad", (b, late))]
+        got = self._outcome(mo2, *self._faults(mo2, *faults))
+        if order == "bad-first":
+            assert got == (ParseError, "not a rational: 'zz'")
+        else:
+            assert got == (C1Violation, f"table missing f(b, {mo2.label(early)})")
+
+    @pytest.mark.parametrize("order", ["bad-first", "missing-first"])
+    def test_within_a_section(self, mo2, order):
+        a = mo2.one
+        x, y = sorted((mo2.id_of("a"), mo2.id_of("b'")))
+        kinds = ("bad", "missing") if order == "bad-first" else ("missing", "bad")
+        got = self._outcome(mo2, *self._faults(mo2, (kinds[0], (x, a)), (kinds[1], (y, a))))
+        if order == "bad-first":
+            assert got == (ParseError, "not a rational: 'zz'")
+        else:
+            assert got == (C1Violation, f"table missing f({mo2.label(x)}, 1)")
+
+    @pytest.mark.parametrize("order", ["bad-first", "missing-first"])
+    def test_state_mapping(self, mo2, order):
+        values = dict(enumerate(mo2_state(mo2, F(2, 5), F(3, 10))))
+        x, y = sorted((mo2.id_of("a"), mo2.id_of("b'")))
+        bad, missing = (x, y) if order == "bad-first" else (y, x)
+        values[bad] = "zz"
+        del values[missing]
+        with pytest.raises((ParseError, NotNormalized)) as exc:
+            q.validate_state(mo2, values)
+        if order == "bad-first":
+            assert (type(exc.value), str(exc.value)) == (ParseError, "not a rational: 'zz'")
+        else:
+            assert (type(exc.value), str(exc.value)) == (
+                NotNormalized, f"state table missing m({mo2.label(x)})"
+            )
 
 
 class TestBuildConditionalState:
