@@ -118,7 +118,8 @@ class ConditionOutsideCS(OmlError):
 # --- s-maps ----------------------------------------------------------------
 
 class S1Violation(OmlError):
-    """p(1,1) != 1."""
+    """An entry p(a,b) is missing or outside [0, 1], or p(1,1) != 1; witness
+    is the pair (a, b), or None when a dense table is not total."""
 
     stage = "s1"
 

@@ -11,7 +11,7 @@ conditional expectation builds one ``Fraction`` per value of z.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import combinations, chain
@@ -72,14 +72,22 @@ def make_observable(
 
 def _partition(L: OrthomodularLattice, pairs: list[tuple[Fraction, int]]) -> Observable:
     """``make_observable`` for values that are already ``Fraction``s, such as
-    computed ones, which the literal-size gate of ``parse_rational`` skips."""
+    computed ones, which the literal-size gate of ``parse_rational`` skips.
+
+    Orthogonality is walked over the pairs of nonzero events only, in the
+    order of ``combinations``, as 0 is orthogonal to everything.  Each event
+    walked in full, before the first failing pair, is orthogonal to every
+    later one; such events are pairwise orthogonal, so hold distinct atoms,
+    and the walk costs O(|atoms|·k) for k values."""
     assignment = dict(pairs)
     if len(assignment) != len(pairs):
         values = [v for v, _ in pairs]
-        dup = next(v for v in values if values.count(v) > 1)
+        counts = Counter(values)
+        dup = next(v for v in values if counts[v] > 1)
         raise DuplicateValue(f"value {dup} assigned twice", witness=(str(dup),))
     elems = [e for _, e in pairs]
-    for (v1, e1), (v2, e2) in combinations(pairs, 2):
+    nonzero = [(v, e) for v, e in pairs if e != L.zero]
+    for (v1, e1), (v2, e2) in combinations(nonzero, 2):
         if not L.is_orthogonal(e1, e2):
             raise NotAPartition(
                 f"events for values {v1} and {v2} are not orthogonal",

@@ -6,7 +6,9 @@ it may be asymmetric, which is where the one-way independence witnessed by
 ``scan_asymmetric_pairs`` lives.
 
 s1–s3 are checked in one integer kernel, ``_check_scaled_smap``, which takes
-only the table as ``states._scaled`` scales it.  ``validate_smap`` reads
+only the table as ``states._scaled`` scales it; s3 is one list comparison
+per orthogonal pair over the rows, then over the columns
+(``_first_nonadditive``).  ``validate_smap`` reads
 each of the caller's entries once (``rationals._read_entries``) and scales
 the ratios; ``conditional_to_smap`` builds its ``Fraction``s, then scales
 them for the kernel (``states._scale_to_integers``).  ``files.load_smap``
@@ -21,6 +23,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     DomainTooSmall,
@@ -38,7 +41,6 @@ from .states import (
     ConditionalState,
     State,
     _check_conditional_state,
-    _first_nonadditive,
     _scale_to_integers,
     _scaled,
     validate_state,
@@ -121,6 +123,23 @@ def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
     return SMap(L, tuple(tuple(map(fracs.__getitem__, row)) for row in cell))
 
 
+def _first_nonadditive(pairs, T):
+    """The first ``((a, b, j), i)`` with T[j][i] ≠ T[a][i] + T[b][i], or None.
+
+    ``pairs`` holds triples (a, b, a∨b) and every T[x] is a list of the same
+    length; pairs are visited in order and i ascending, and a pair that holds
+    costs one list comparison.
+    """
+    for pair in pairs:
+        a, b, j = pair
+        # A list, not a tuple: CPython keeps up to 2000 freed tuples of each
+        # short length for reuse, so tuples built per pair would stay allocated.
+        s = list(map(add, T[a], T[b]))
+        if T[j] != s:
+            return pair, next(i for i, x in enumerate(s) if x != T[j][i])
+    return None
+
+
 def _check_scaled_smap(L: OrthomodularLattice, vals, top) -> None:
     """Raise the first s1–s3 failure of the table p, given as ``vals``, the
     rows of top·p as lists (ints, or p's ``Fraction``s with ``top`` = 1 past
@@ -133,7 +152,10 @@ def _check_scaled_smap(L: OrthomodularLattice, vals, top) -> None:
                 witness=(L.label(a), L.label(b)),
             )
     if vals[L.one][L.one] != top:
-        raise S1Violation(f"p(1,1) = {Fraction(vals[L.one][L.one], top)} ≠ 1")
+        raise S1Violation(
+            f"p(1,1) = {Fraction(vals[L.one][L.one], top)} ≠ 1",
+            witness=(L.label(L.one), L.label(L.one)),
+        )
     # s2 on both orders of every ⊥ pair and on 0 ⊥ 0; the least (a, b) is
     # the first failure an entry-by-entry walk of the rows meets.
     nonzero = [(x, y) for a, b, _ in L.orthogonal_pairs for x, y in ((a, b), (b, a)) if vals[x][y]]

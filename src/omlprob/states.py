@@ -11,7 +11,8 @@ once, through ``rationals._read_entries``: the size bound of
 an exact ``Fraction`` as the caller's object.  Tables the package builds
 itself are read through ``rationals.exact_ratios``.  State additivity is
 one scalar comparison per orthogonal pair, m(a) + m(b) = m(a ∨ b) on the
-scaled entries.
+scaled entries; C1 of a conditional state is that state check, run once per
+section.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations, islice
 from math import lcm
-from operator import add
 
 from .errors import (
     AlphaNotConcentrated,
@@ -71,23 +71,6 @@ def _scale_to_integers(rows):
     vals, D = _scaled(exact_ratios([x for row in rows for x in row], "the s-map table"))
     it = iter(vals)
     return [list(islice(it, len(row))) for row in rows], D
-
-
-def _first_nonadditive(pairs, T):
-    """The first ``((a, b, j), i)`` with T[j][i] ≠ T[a][i] + T[b][i], or None.
-
-    ``pairs`` holds triples (a, b, a∨b) and every T[x] is a list of the same
-    length; pairs are visited in order and i ascending, and a pair that holds
-    costs one list comparison.
-    """
-    for pair in pairs:
-        a, b, j = pair
-        # A list, not a tuple: CPython keeps up to 2000 freed tuples of each
-        # short length for reuse, so tuples built per pair would stay allocated.
-        s = list(map(add, T[a], T[b]))
-        if T[j] != s:
-            return pair, next(i for i, x in enumerate(s) if x != T[j][i])
-    return None
 
 
 class State(namedtuple("State", "lattice values")):
@@ -187,19 +170,18 @@ def validate_conditional_state(
 
     The axioms are checked on integers: each section f(., a) is scaled by the
     lcm D_a of its own denominators to a row R_a (past 2**MAX_SCALE_BITS the
-    section keeps its ``Fraction``s and D_a = 1).  C1 bounds, f(0, a) = 0,
-    f(1, a) = D_a and C2 (R_a[a] = D_a) are ``int`` comparisons, and
-    additivity is checked for every section at once on the rows transposed
-    (``zip``) to per-element lists.  C3 at a pair (a₁, a₂) with join j, multiplied
-    through by D_j·D₁·D₂, is the one list comparison
+    section keeps its ``Fraction``s and D_a = 1).  C1 and C2 are checked in
+    one walk over cs in its iteration order: section a is ``_check_state``
+    on R_a (bounds, f(0, a) = 0, f(1, a) = D_a and one scalar additivity
+    comparison per orthogonal pair), then C2 is R_a[a] = D_a, so the first
+    failure named is the first one that walk meets.  C3 at a pair (a₁, a₂)
+    with join j, multiplied through by D_j·D₁·D₂, is the one list comparison
     D₁·D₂·R_j = (R_j[a₁]·D₂)·R_{a₁} + (R_j[a₂]·D₁)·R_{a₂}.
 
-    Only a failing C1/C2 stage is walked again, section by section over cs
-    in the iteration order of cs (each through ``_check_state``, on R_a), to
-    name its first failure.  C3 at index b is the ``Fraction`` equation
-    at b times D_j·D₁·D₂ > 0, so the first index where the lists differ is
-    the first failing b, and its two sides are the two list entries over
-    D_j·D₁·D₂.  The record is built only after the checks pass.
+    C3 at index b is the ``Fraction`` equation at b times D_j·D₁·D₂ > 0, so
+    the first index where the lists differ is the first failing b, and its
+    two sides are the two list entries over D_j·D₁·D₂.  The record is built
+    only after the checks pass.
     Pairs are taken from ``L.orthogonal_pairs`` in its lexicographic order,
     keeping those with both ends in cs, with b innermost, so the first
     failure reported is the first one an exhaustive walk over families of
@@ -225,26 +207,19 @@ def _check_conditional_state(L, cs, R, D) -> None:
     """C1–C3 for the sections f(., a), a in the conditional system cs, given
     as rows R[a] = D[a]·f(., a) with D[a] > 0 (ints, or ``Fraction``s past
     2**MAX_SCALE_BITS); see validate_conditional_state."""
-    holds = all(
-        min(r) >= 0 and max(r) <= D[a] and r[L.zero] == 0 and r[L.one] == r[a] == D[a]
-        for a, r in R.items()
-    )
-    # T[x] lists R[a][x] over the sections a; T is empty if cs is.
-    T = list(map(list, zip(*R.values())))
-    if not holds or (T and _first_nonadditive(L.orthogonal_pairs, T) is not None):
-        for a in cs:
-            try:
-                _check_state(L, R[a], D[a])
-            except (NotNormalized, NotAdditive) as exc:
-                raise C1Violation(
-                    f"f(., {L.label(a)}) is not a state: {exc}",
-                    witness=(L.label(a), exc.witness),
-                ) from exc
-            if R[a][a] != D[a]:
-                raise C2Violation(
-                    f"f({L.label(a)}, {L.label(a)}) = {Fraction(R[a][a], D[a])} ≠ 1",
-                    witness=(L.label(a),),
-                )
+    for a in cs:
+        try:
+            _check_state(L, R[a], D[a])
+        except (NotNormalized, NotAdditive) as exc:
+            raise C1Violation(
+                f"f(., {L.label(a)}) is not a state: {exc}",
+                witness=(L.label(a), exc.witness),
+            ) from exc
+        if R[a][a] != D[a]:
+            raise C2Violation(
+                f"f({L.label(a)}, {L.label(a)}) = {Fraction(R[a][a], D[a])} ≠ 1",
+                witness=(L.label(a),),
+            )
     for a1, a2, j in L.orthogonal_pairs:
         if a1 not in cs or a2 not in cs:
             continue

@@ -16,9 +16,14 @@ literal indices.  The completion oracle fills them into a mapping
 (a, b) -> entry, one ``setdefault`` at a time.
 
 The library checks C1–C3 on each section scaled by its own common
-denominator, all sections at once for additivity and one list comparison per
-pair for C3.  The conditional-state oracle checks them on the ``Fraction``
+denominator, one scalar comparison per orthogonal pair for additivity and
+one list comparison per pair of conditions for C3.  The conditional-state oracle checks them on the ``Fraction``
 entries, section by section and one b at a time.
+
+The library names an observable's repeated value from one count of all
+values and walks the orthogonality of its nonzero events only.  The
+partition oracle counts each value with ``list.count`` and tests every pair
+of events.
 
 The library visits each unordered pair once to list asymmetric
 independence.  The oracle tests both orders of every ordered pair.
@@ -57,9 +62,11 @@ from omlprob.errors import (
     LatticeInputError,
     C2Violation,
     C3Violation,
+    DuplicateValue,
     NotAdditive,
     NotALattice,
     NotAnOrtholattice,
+    NotAPartition,
     NotAPoset,
     NotNormalized,
     NotOrthomodular,
@@ -159,7 +166,9 @@ def smap_exhaustive(L: OrthomodularLattice, table) -> S1Violation | S2Violation 
                     witness=(L.label(a), L.label(b)),
                 )
     if rows[L.one][L.one] != 1:
-        return S1Violation(f"p(1,1) = {rows[L.one][L.one]} ≠ 1")
+        return S1Violation(
+            f"p(1,1) = {rows[L.one][L.one]} ≠ 1", witness=(L.label(L.one), L.label(L.one))
+        )
     for a in L.elements:
         for b in L.elements:
             if L.is_orthogonal(a, b) and rows[a][b] != 0:
@@ -269,6 +278,30 @@ def cstate_exhaustive(
                     f"mixture over {fam} gives {mix}",
                     witness=(L.label(b), fam),
                 )
+    return None
+
+
+def partition_failure_exhaustive(
+    L: OrthomodularLattice, pairs
+) -> DuplicateValue | NotAPartition | None:
+    """The first failure of the (value, event) list ``pairs`` as an
+    observable, or None: a value that occurs twice, then a pair of events
+    that are not orthogonal, then events that do not join to 1."""
+    values = [v for v, _ in pairs]
+    for v in values:
+        if values.count(v) > 1:
+            return DuplicateValue(f"value {v} assigned twice", witness=(str(v),))
+    for (v1, e1), (v2, e2) in combinations(pairs, 2):
+        if not L.is_orthogonal(e1, e2):
+            return NotAPartition(
+                f"events for values {v1} and {v2} are not orthogonal",
+                witness=(L.label(e1), L.label(e2)),
+            )
+    elems = [e for _, e in pairs]
+    if L.join_all(elems) != L.one:
+        return NotAPartition(
+            "events do not join to 1", witness=tuple(L.label(e) for e in elems)
+        )
     return None
 
 

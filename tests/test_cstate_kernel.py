@@ -127,17 +127,24 @@ def test_integer_kernel_agrees_with_fraction_oracle(kind, form, perturbation, de
 @pytest.mark.parametrize("kind, n", [("boolean", n) for n in (1, 2, 3, 4, 5)]
                          + [("mo", n) for n in (1, 2, 3, 5, 8, 12)])
 def test_valid_tables_stay_on_integers(kind, n, monkeypatch):
-    """A valid table is accepted by the integer comparisons alone: neither
-    the per-section walk nor the per-b C3 walk runs."""
+    """A valid table is checked on integers, in one walk over the sections:
+    ``_check_state`` runs once per condition, on a row of ints and an int
+    scale."""
     L = q.build_catalog(kind, n)
     tables = [q.random_conditional_state(L, seed) for seed in range(3)]
+    calls = []
+    check_state = states._check_state
 
-    def unexpected(*args):
-        raise AssertionError("the per-section walk ran on a valid table")
+    def spy(L, row, top):
+        assert all(type(x) is int for x in row) and type(top) is int
+        calls.append(top)
+        return check_state(L, row, top)
 
-    monkeypatch.setattr(states, "_check_state", unexpected)
+    monkeypatch.setattr(states, "_check_state", spy)
     for f in tables:
+        calls.clear()
         assert q.validate_conditional_state(L, f.conditions, f.table).table == f.table
+        assert len(calls) == len(f.conditions)
 
 
 def _mersenne_cstate():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omlprob as q
+from omlprob import files
 from omlprob.catalog import mo_blocks
 from omlprob.errors import (
     AtomOutsideCS,
@@ -13,10 +14,11 @@ from omlprob.errors import (
     NotAPartition,
     ParseError,
 )
+from omlprob.lattice import OrthomodularLattice
 from omlprob.observables import Observable, _checked_members
 from omlprob.states import ConditionalState
 
-from oracles import expectation_sum
+from oracles import assert_same_failure, expectation_sum, partition_failure_exhaustive
 
 
 @pytest.fixture
@@ -50,6 +52,55 @@ class TestMakeObservable:
     def test_duplicate_value(self, mo2):
         with pytest.raises(DuplicateValue):
             q.make_observable(mo2, [(1, mo2.id_of("a")), (F(1), mo2.id_of("a'"))])
+
+
+class TestLargeAssignments:
+    """A repeated value is named from one count of the values, and zero
+    events are left out of the pairwise walk, so ``is_orthogonal`` runs at
+    most |atoms|·k times for k values, not k²/2."""
+
+    K = 20_000
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        is_orthogonal = OrthomodularLattice.is_orthogonal
+
+        def spy(L, a, b):
+            calls.append((a, b))
+            return is_orthogonal(L, a, b)
+
+        monkeypatch.setattr(OrthomodularLattice, "is_orthogonal", spy)
+        return calls
+
+    @staticmethod
+    def _document(pairs):
+        return {"type": "observable",
+                "assignment": [{"value": str(v), "element": e} for v, e in pairs]}
+
+    def test_zero_events_are_not_walked(self, mo2, calls):
+        pairs = [(v, "0") for v in range(self.K)] + [(self.K, "a"), (self.K + 1, "a'")]
+        x = files.load_observable(self._document(pairs), mo2)
+        assert len(x.spectrum) == len(pairs)
+        assert len(calls) <= len(mo2.atoms) * len(pairs)
+
+    def test_repeated_value(self, mo2, calls):
+        pairs = [(v, "0") for v in range(self.K)] + [(self.K - 1, "1")]
+        with pytest.raises(DuplicateValue) as exc:
+            files.load_observable(self._document(pairs), mo2)
+        assert str(exc.value) == f"value {self.K - 1} assigned twice"
+        assert calls == []
+
+    def test_late_failure(self, calls):
+        L = _catalog("boolean", 3)
+        a, b, c = L.atoms
+        pairs = [(0, a), (1, b)] + [(v, L.zero) for v in range(2, self.K)]
+        pairs += [(self.K, c), (self.K + 1, c)]
+        with pytest.raises(NotAPartition) as exc:
+            q.make_observable(L, pairs)
+        assert str(exc.value) == f"events for values {self.K} and {self.K + 1} are not orthogonal"
+        assert exc.value.witness == ("c", "c")
+        assert len(calls) <= len(L.atoms) * len(pairs)
 
 
 class TestJointDistribution:
@@ -291,3 +342,36 @@ class TestCompatibleObservablesCommute:
             for Eset in ([], [1], [2], [1, 2]):
                 for Fset in ([], [4], [5], [4, 5]):
                     assert pxy(Eset, Fset) == pyx(Fset, Eset)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([("boolean", n) for n in (2, 3)] + [("mo", n) for n in (2, 3)]),
+    st.data(),
+)
+def test_partition_matches_the_pairwise_walk(shape, data):
+    """make_observable raises the failure that the k² walk of
+    ``partition_failure_exhaustive`` finds first, or builds the observable,
+    on short assignments: a partition of the atoms of boolean(n) or of one
+    block of mo(n) into up to 4 events, some 0, with extra 0 events and
+    perhaps one event replaced, in any order, and values that may repeat."""
+    L = _catalog(*shape)
+    parts = L.atoms if shape[0] == "boolean" else data.draw(st.sampled_from(mo_blocks(L)))
+    group = data.draw(st.lists(st.integers(0, 3), min_size=len(parts), max_size=len(parts)))
+    events = [L.join_all(a for a, g in zip(parts, group) if g == i) for i in range(4)]
+    events += [L.zero] * data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        events[data.draw(st.integers(0, len(events) - 1))] = data.draw(st.sampled_from(L.elements))
+    events = data.draw(st.permutations(events))
+    k, unique = len(events), data.draw(st.booleans())
+    values = data.draw(st.lists(st.integers(0, 2 * k), min_size=k, max_size=k, unique=unique))
+    pairs = list(zip(values, events))
+    want = partition_failure_exhaustive(L, [(F(v), e) for v, e in pairs])
+    try:
+        x, got = q.make_observable(L, pairs), None
+    except (DuplicateValue, NotAPartition) as exc:
+        got = exc
+    assert_same_failure(got, want)
+    if got is None:
+        assignment = {F(v): e for v, e in pairs}
+        assert x == Observable(L, tuple(sorted(assignment)), assignment)

@@ -69,6 +69,13 @@ class TestValidateSMap:
         assert str(exc.value) == message
 
 
+    def test_top_entry_names_its_pair(self, mo2):
+        rows = [[F(0)] * len(mo2) for _ in mo2.elements]
+        with pytest.raises(S1Violation) as exc:
+            q.validate_smap(mo2, rows)
+        assert str(exc.value) == "p(1,1) = 0 ≠ 1"
+        assert exc.value.witness == ("1", "1")
+
     @pytest.mark.parametrize("cut", ["row", "entry"])
     def test_short_table_is_not_total(self, mo2, cut):
         rows = [[F(0)] * len(mo2) for _ in mo2.elements]

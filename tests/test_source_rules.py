@@ -34,3 +34,16 @@ def test_as_integer_ratio_only_in_rationals():
         if "as_integer_ratio" in line
     ]
     assert found == []
+
+
+def test_no_assert_in_src():
+    """No check or message of the package is an ``assert``, which
+    ``python -O`` strips."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert MODULES
+    assert found == []
