@@ -255,7 +255,7 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
 
 
 def load_observable(doc: Mapping, L: OrthomodularLattice | None = None) -> Observable:
-    from .observables import make_observable
+    from .observables import _partition
 
     L = _open(doc, "observable", L)
     raw = doc.get("assignment")
@@ -263,9 +263,7 @@ def load_observable(doc: Mapping, L: OrthomodularLattice | None = None) -> Obser
         isinstance(e, dict) and set(e) == {"value", "element"} for e in raw
     ):
         raise SchemaError("'assignment' must be a list of {value, element} objects")
-    return make_observable(
-        L, [(parse_rational(e["value"]), L.id_of(e["element"])) for e in raw]
-    )
+    return _partition(L, [(parse_rational(e["value"]), L.id_of(e["element"])) for e in raw])
 
 
 # kind -> (the field that marks an untyped document of the kind, the fields

@@ -71,8 +71,9 @@ def make_observable(
 
 
 def _partition(L: OrthomodularLattice, pairs: list[tuple[Fraction, int]]) -> Observable:
-    """``make_observable`` for values that are already ``Fraction``s, such as
-    computed ones, which the literal-size gate of ``parse_rational`` skips.
+    """``make_observable`` for values that are already ``Fraction``s: computed
+    ones, which the literal-size gate of ``parse_rational`` skips, and the
+    ones ``files.load_observable`` has read, which are not read again.
 
     Orthogonality is walked over the pairs of nonzero events only, in the
     order of ``combinations``, as 0 is orthogonal to everything.  Each event

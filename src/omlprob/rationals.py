@@ -121,13 +121,16 @@ def exact_ratios(values, where: str) -> list[tuple[int, int]]:
 
 def exact_dot(weights, values) -> tuple[int, int] | None:
     """The reduced ``(n, d)`` of Σ wᵢ·vᵢ, or None if a weight or a value is
-    not exactly an int or a Fraction; ``exact_ratios`` then names it."""
+    not exactly an int or a Fraction; ``exact_ratios`` then names it.  A
+    term with wᵢ or vᵢ = 0 adds nothing, so its denominators are not
+    multiplied into the running one."""
     num, den = 0, 1
     for w, v in zip(weights, values):
         if type(w) not in _EXACT or type(v) not in _EXACT:
             return None
-        (wn, wd), (vn, vd) = w.as_integer_ratio(), v.as_integer_ratio()
-        num, den = num * wd * vd + wn * vn * den, den * wd * vd
+        if w and v:
+            (wn, wd), (vn, vd) = w.as_integer_ratio(), v.as_integer_ratio()
+            num, den = num * wd * vd + wn * vn * den, den * wd * vd
     g = gcd(num, den)
     return num // g, den // g
 

@@ -11,11 +11,14 @@ per orthogonal pair over the rows, then over the columns
 (``_first_nonadditive``).  ``validate_smap`` reads
 each of the caller's entries once (``rationals._read_entries``) and scales
 the ratios; ``conditional_to_smap`` builds its ``Fraction``s, then scales
-them for the kernel (``states._scale_to_integers``).  ``files.load_smap``
+them for the kernel with ``_scale_to_integers``, which scales a table of
+rows here and serves the two conversions only.  ``files.load_smap``
 first parses every literal to an integer ratio; ``_smap_of_ratios`` fills in
 the entries s1–s3 force, the one place that rule is stated, then scales and
 checks the ratios, and builds the ``Fraction``s only for a table that
-passes.
+passes.  Independence compares a product and scales nothing: both
+``is_independent_product`` and ``scan_asymmetric_pairs`` test x = a·b on
+reduced ratios (``_is_product``).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import islice
 from operator import add
 
 from .errors import (
@@ -41,7 +45,6 @@ from .states import (
     ConditionalState,
     State,
     _check_conditional_state,
-    _scale_to_integers,
     _scaled,
     validate_state,
 )
@@ -84,6 +87,13 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
     vals, top = _scaled([r for _, ratios in read for r in ratios])
     _check_scaled_smap(L, [vals[i:i + n] for i in range(0, n * n, n)], top)
     return SMap(L, tuple(tuple(row) for row, _ in read))
+
+
+def _scale_to_integers(rows):
+    """``_scaled`` of a table of rows of ints and ``Fraction``s, by rows."""
+    vals, D = _scaled(exact_ratios([x for row in rows for x in row], "the s-map table"))
+    it = iter(vals)
+    return [list(islice(it, len(row))) for row in rows], D
 
 
 def _missing(L: OrthomodularLattice, a: int, b: int) -> S1Violation:
@@ -251,30 +261,35 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
     return SMap(L, rows)
 
 
+def _is_product(x, a, b) -> bool:
+    """x = a·b for reduced ratios (n, d): n·d_a·d_b = n_a·n_b·d."""
+    (n, d), (na, da), (nb, db) = x, a, b
+    return n * da * db == na * nb * d
+
+
 def is_independent_product(p: SMap, b: int, a: int) -> bool:
     """b is independent of a under p iff p(b, a) = p(a, a)·p(b, b)."""
-    (n, d), (na, da), (nb, db) = exact_ratios((p(b, a), p(a, a), p(b, b)), "the s-map table")
-    return n * da * db == na * nb * d
+    return _is_product(*exact_ratios((p(b, a), p(a, a), p(b, b)), "the s-map table"))
 
 
 def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
     """Ordered pairs (a, b) independent one way but not the other, by id.
 
-    Each unordered pair is visited once.  Both directions compare with the
-    same product p(a, a)·p(b, b), so a pair with p(a, b) = p(b, a) (every
-    compatible pair) cannot be asymmetric and needs no product.  The test runs
-    on P = D·p from ``_scale_to_integers``: P[a][b]·D = P[a][a]·P[b][b].
+    Each row is read once into reduced ratios, and each unordered pair is
+    visited once.  Both directions compare with the same product
+    p(a, a)·p(b, b), so a pair with p(a, b) = p(b, a) (every compatible
+    pair) cannot be asymmetric and needs no product; otherwise each
+    direction is ``is_independent_product``'s test, ``_is_product``.
     """
-    t, D = _scale_to_integers(p.table)
+    t = [exact_ratios(row, "the s-map table") for row in p.table]
     out = []
     for a, row in enumerate(t):
         for b in range(a + 1, len(t)):
             ab, ba = row[b], t[b][a]
             if ab != ba:
-                prod = row[a] * t[b][b]
-                if ab * D == prod:
+                if _is_product(ab, row[a], t[b][b]):
                     out.append((a, b))
-                elif ba * D == prod:
+                elif _is_product(ba, row[a], t[b][b]):
                     out.append((b, a))
     out.sort()
     return out

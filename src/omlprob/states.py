@@ -4,15 +4,16 @@ All probabilities are exact ``Fraction`` values; independence and the mixing
 law C3 are equality statements, so nothing here tolerates floating point.
 The axioms of states, conditional states and s-maps are checked by kernels
 that take only the table scaled to integers by the lcm of its denominators
-(``_scaled``) and raise or return None; each entry point then builds its
-record of ``Fraction`` values.  A validator reads each of a caller's entries
-once, through ``rationals._read_entries``: the size bound of
-``parse_rational`` and the reduced ratio in one call, and the record keeps
-an exact ``Fraction`` as the caller's object.  Tables the package builds
-itself are read through ``rationals.exact_ratios``.  State additivity is
-one scalar comparison per orthogonal pair, m(a) + m(b) = m(a ∨ b) on the
-scaled entries; C1 of a conditional state is that state check, run once per
-section.
+(``_scaled``, the one scaler those kernels share; ``smap._scale_to_integers``
+applies it to a table of rows for the two conversions) and raise or return
+None; each entry point then builds its record of ``Fraction`` values.  A
+validator reads each of a caller's entries once, through
+``rationals._read_entries``: the size bound of ``parse_rational`` and the
+reduced ratio in one call, and the record keeps an exact ``Fraction`` as the
+caller's object.  Tables the package builds itself are read through
+``rationals.exact_ratios``.  State additivity is one scalar comparison per
+orthogonal pair, m(a) + m(b) = m(a ∨ b) on the scaled entries; C1 of a
+conditional state is that state check, run once per section.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import lcm
 
 from .errors import (
@@ -64,13 +65,6 @@ def _scaled(ratios):
             return [Fraction(n, d) for n, d in ratios], ONE
     scale = {d: D // d for d in dens}
     return [n * scale[d] for n, d in ratios], D
-
-
-def _scale_to_integers(rows):
-    """``_scaled`` of a table of rows of ints and ``Fraction``s, by rows."""
-    vals, D = _scaled(exact_ratios([x for row in rows for x in row], "the s-map table"))
-    it = iter(vals)
-    return [list(islice(it, len(row))) for row in rows], D
 
 
 class State(namedtuple("State", "lattice values")):
@@ -260,14 +254,12 @@ def build_conditional_state(
             raise NotOrthogonalFamily(
                 f"{L.label(a)} ⊥̸ {L.label(b)}", witness=(L.label(a), L.label(b))
             )
-    sections = []
     for a, alpha in zip(atoms, alphas):
-        ratios = exact_ratios(alpha.values, f"the alpha of {L.label(a)}")
-        if ratios[a] != (1, 1):
+        at_a = exact_ratios(alpha.values, f"the alpha of {L.label(a)}")[a]
+        if at_a != (1, 1):
             raise AlphaNotConcentrated(
-                f"alpha({L.label(a)}) = {Fraction(*ratios[a])} ≠ 1", witness=(L.label(a),)
+                f"alpha({L.label(a)}) = {Fraction(*at_a)} ≠ 1", witness=(L.label(a),)
             )
-        sections.append([Fraction(n, d) for n, d in ratios])
     weights = [parse_rational(w) for w in k]
     if any(not (ZERO <= w <= ONE) for w in weights) or sum(weights) != 1:
         raise WeightsNotNormalized(f"weights {weights} are not a convex combination")
@@ -280,17 +272,14 @@ def build_conditional_state(
             top = L.join_all(atoms[i] for i in S)
             mass = sum(weights[i] for i in S)
             if size == 1:
-                section = sections[S[0]]
+                section = alphas[S[0]].values
             elif mass == 0:
                 raise ZeroMassCondition(
                     f"subfamily {tuple(L.label(atoms[i]) for i in S)} has weight 0",
                     witness=tuple(L.label(atoms[i]) for i in S),
                 )
             else:
-                section = tuple(
-                    sum((weights[i] / mass) * sections[i][d] for i in S)
-                    for d in L.elements
-                )
+                section = [sum(weights[i] * alphas[i](d) for i in S) / mass for d in L.elements]
             if top in conditions:
                 raise NotOrthogonalFamily(
                     f"atom subsets share the join {L.label(top)}",

@@ -9,7 +9,7 @@ from itertools import chain
 import pytest
 
 import omlprob as q
-from omlprob import states
+from omlprob import smap, states
 from omlprob.errors import C1Violation, NoSolution, ParseError, S1Violation, S3Violation
 from omlprob.observables import Observable
 from omlprob.smap import SMap
@@ -71,7 +71,7 @@ def test_catalog_tables_match_the_oracles(kind, n):
 def test_mersenne_sections_match_the_oracles():
     L, _, cs, tab = _mersenne_cstate()
     f = q.validate_conditional_state(L, cs, tab)
-    assert states._scale_to_integers(q.conditional_to_smap(f).table)[1] is states.ONE
+    assert smap._scale_to_integers(q.conditional_to_smap(f).table)[1] is states.ONE
     _assert_conversions_match(f)
 
 
@@ -85,7 +85,7 @@ def test_mixtures_past_the_bound_match_the_oracles(kind, n):
     p = q.validate_smap(
         L, [[t * x + (1 - t) * y for x, y in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
     )
-    assert states._scale_to_integers(p.table)[1] is states.ONE
+    assert smap._scale_to_integers(p.table)[1] is states.ONE
     f = q.smap_to_conditional(p)
     _assert_conversions_match(f, p)
     assert q.conditional_to_smap(f) == p
@@ -112,7 +112,7 @@ def test_a_product_that_is_no_smap_is_refused(kind, n, past_bound, error):
     bad = ConditionalState(L, f.conditions, {**f.table, key: value})
     want = smap_exhaustive(L, smap_of_conditional(bad))
     assert type(want) is error
-    scale = states._scale_to_integers(smap_of_conditional(bad))[1]
+    scale = smap._scale_to_integers(smap_of_conditional(bad))[1]
     assert (scale is states.ONE) == past_bound
     with pytest.raises(error) as exc:
         q.conditional_to_smap(bad)
@@ -171,7 +171,7 @@ def test_negative_diagonal_sections_are_fractions(example_smap, mo2, label):
 def test_prime_denominator_table_matches_the_oracles():
     L = q.build_catalog("mo", 16)
     p = q.validate_smap(L, _prime_denominator_table(L, _primes_from(2**61, 16 * 15)))
-    assert states._scale_to_integers(p.table)[1] is states.ONE
+    assert smap._scale_to_integers(p.table)[1] is states.ONE
     f = q.smap_to_conditional(p)
     _assert_conversions_match(f, p)
     assert q.conditional_to_smap(f) == p

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import omlprob as q
-from omlprob import states
+from omlprob import smap, states
 from omlprob.catalog import mo_blocks
 from omlprob.errors import C1Violation, C2Violation, C3Violation
 
@@ -171,7 +171,7 @@ def _mersenne_cstate():
 
 def test_bounded_sections_agree_with_oracle():
     L, blocks, cs, tab = _mersenne_cstate()
-    scaled = {a: states._scale_to_integers(([tab[(b, a)] for b in L.elements],))[1] for a in cs}
+    scaled = {a: smap._scale_to_integers(([tab[(b, a)] for b in L.elements],))[1] for a in cs}
     assert scaled[L.one] is states.ONE
     assert scaled[blocks[3][0]] is not states.ONE  # 89 + 107 + 127 + 607 bits
     assert scaled[blocks[0][0]] is states.ONE

@@ -128,6 +128,19 @@ class TestFileLoading:
                 lab = example_f.lattice.label
                 assert f2(f2.lattice.id_of(lab(x)), f2.lattice.id_of(lab(c))) == example_f(x, c)
 
+    def test_state_and_observable_documents_round_trip(self, tmp_path, mo2, example_f):
+        files.write_document(str(tmp_path / "mo2.json"), files.lattice_document(mo2))
+        m = example_f.state_given(mo2.id_of("a"))
+        b, bp = mo2.id_of("b"), mo2.id_of("b'")
+        x = q.make_observable(mo2, [(Fraction(-7, 3), b), (Fraction(1, 2), bp)])
+        docs = files.state_document(m, "mo2.json"), files.observable_document(x, "mo2.json")
+        for record, doc in zip((m, x), docs):
+            path = str(tmp_path / "record.json")
+            files.write_document(path, doc)
+            assert files.load_typed(files.load_document(path), mo2) == record
+            loaded = files.load_typed(files.load_document(path))
+            assert loaded.lattice.labels == mo2.labels and loaded[1:] == record[1:]
+
 
 # One valid document of each kind, by file name (the state is written inline).
 KIND_FILES = {

@@ -103,6 +103,14 @@ def test_every_exported_name_resolves():
     assert all(m.startswith("omlprob.") for m in modules.values())
 
 
+def test_dir_lists_every_lazy_export():
+    import omlprob
+
+    names = dir(omlprob)
+    assert set(omlprob.__all__) <= set(names)
+    assert "__version__" in names and names == sorted(names)
+
+
 def test_gen_refuses_an_unknown_kind_with_the_kinds(tmp_path):
     out = tmp_path / "out"
     child = subprocess.run(

@@ -276,6 +276,11 @@ class TestBooleanSubalgebra:
             assert B.members == frozenset((mo2.zero, d, mo2.ortho(d), mo2.one))
             assert set(B.atoms) == {d, mo2.ortho(d)}
 
+    def test_membership_is_of_the_members(self, mo2):
+        B = mo2.boolean_subalgebra(mo2.id_of("a"))
+        assert [x for x in mo2.elements if x in B] == sorted(B.members)
+        assert mo2.id_of("b") not in B
+
 
 class TestConditionalSystems:
     @pytest.mark.parametrize("members, message, witness", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omlprob as q
-from omlprob import files
+from omlprob import files, rationals
 from omlprob.catalog import mo_blocks
 from omlprob.errors import (
     AtomOutsideCS,
@@ -18,6 +18,7 @@ from omlprob.lattice import OrthomodularLattice
 from omlprob.observables import Observable, _checked_members
 from omlprob.states import ConditionalState
 
+from conftest import DATA
 from oracles import assert_same_failure, expectation_sum, partition_failure_exhaustive
 
 
@@ -101,6 +102,25 @@ class TestLargeAssignments:
         assert str(exc.value) == f"events for values {self.K} and {self.K + 1} are not orthogonal"
         assert exc.value.witness == ("c", "c")
         assert len(calls) <= len(L.atoms) * len(pairs)
+
+
+class TestLoadObservable:
+    def test_each_value_is_read_once(self, monkeypatch):
+        reads = []
+        ratio = rationals._ratio
+        monkeypatch.setattr(rationals, "_ratio", lambda v: reads.append(v) or ratio(v))
+        doc = files.load_document(str(DATA / "obs_x.json"))
+        x = files.load_typed(doc)
+        assert reads == [e["value"] for e in doc["assignment"]]
+        assert x.spectrum == (F(1), F(2))
+
+    @pytest.mark.parametrize("first", ["a", "nowhere"])
+    def test_a_value_is_read_before_its_element_and_the_next_entry(self, mo2, first):
+        doc = {"type": "observable", "assignment": [{"value": "1/0", "element": first},
+                                                    {"value": "1", "element": "nowhere"}]}
+        with pytest.raises(ParseError) as exc:
+            files.load_observable(doc, mo2)
+        assert str(exc.value) == "not a rational: '1/0'"
 
 
 class TestJointDistribution:

@@ -1,10 +1,17 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from omlprob.errors import NoExactDecimal, ParseError
-from omlprob.rationals import format_rational, has_finite_decimal, literal, parse_rational
+from omlprob.rationals import (
+    exact_dot,
+    format_rational,
+    has_finite_decimal,
+    literal,
+    parse_rational,
+)
 
 
 def test_parse_forms():
@@ -138,3 +145,18 @@ def _nested(depth):
         "empty-list", "nested-list", "object", "depth-8", "depth-2000", "other"])
 def test_literal_shows_values_as_a_json_file_holds_them(value, shown):
     assert literal(value) == shown
+
+
+def test_exact_dot_skips_zero_terms():
+    """A term with a zero weight or value leaves the sum and its denominator
+    as they were: 1,000 such terms with 900-digit denominators cost no
+    more than the two that count, and are still type-checked."""
+    big = [F(1, 10**899 + i) for i in range(1000)]
+    weights = [*big[:500], *[0, F(0)] * 250, F(2, 3), F(1, 7)]
+    values = [*[F(0), 0] * 250, *big[500:], F(3, 4), F(7, 5)]
+    start = time.perf_counter()
+    got = exact_dot(weights, values)
+    assert time.perf_counter() - start < 1
+    assert got == (7, 10)
+    assert exact_dot([0, 1], [0.5, 1]) is None
+    assert exact_dot([F(1, 2), "0"], [1, 0]) is None

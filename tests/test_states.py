@@ -244,6 +244,29 @@ class TestBuildConditionalState:
         assert exc.value.witness == ("1", ("b", "b'"))
         assert str(exc.value) == "f(., 1) is not a state: m(b ∨ b') ≠ m(b) + m(b')"
 
+    def test_atom_subsets_sharing_a_join(self, mo2, example_f):
+        """0 is orthogonal to a, so [0, a] passes the family check, but {a}
+        and {0, a} both join to a."""
+        a = mo2.id_of("a")
+        at_zero = q.State(mo2, tuple(F(x == mo2.zero) for x in mo2.elements))
+        alphas = [at_zero, example_f.state_given(a)]
+        with pytest.raises(NotOrthogonalFamily) as exc:
+            q.build_conditional_state(mo2, [mo2.zero, a], alphas, [F(1, 2), F(1, 2)])
+        assert str(exc.value) == "atom subsets share the join a"
+        assert exc.value.witness == ("a",)
+
+    def test_sub_mixtures_are_renormalized(self):
+        """The section at a₁ ∨ a₂ of three atoms is the mixture of α₁ and α₂
+        with weights k₁/(k₁ + k₂) and k₂/(k₁ + k₂)."""
+        L = q.build_catalog("boolean", 3)
+        deltas = [q.validate_state(L, [F(L.leq(atom, x)) for x in L.elements])
+                  for atom in L.atoms]
+        k = [F(1, 2), F(1, 3), F(1, 6)]
+        f = q.build_conditional_state(L, L.atoms, deltas, k)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            top = L.join(L.atoms[i], L.atoms[j])
+            assert f(L.atoms[i], top) == k[i] / (k[i] + k[j])
+
     def test_zero_mass_subfamily(self):
         L = q.build_catalog("boolean", 3)
         atoms = [x for x in L.elements
