@@ -13,9 +13,11 @@ field, inline or as a path relative to the document.  Unknown fields are
 rejected.
 
 An s-map table is loaded integer-first: every literal is parsed to a
-reduced integer ratio and placed by position; then s1–s3 are checked on the
-ratios scaled to a common denominator (``states._scaled``); only a table
-that passes is built, one ``Fraction`` per distinct literal.  Past
+reduced integer ratio and placed by position, a cell's value read before
+its column label, which is looked up in the lattice's label dict; then
+s1–s3 are checked on the ratios scaled to a common denominator
+(``states._scaled``); only a table that passes is built, one ``Fraction``
+per distinct literal.  Past
 2**MAX_SCALE_BITS the scaler returns those ``Fraction``s, which are checked
 themselves and kept.
 
@@ -246,11 +248,13 @@ def load_smap(doc: Mapping, L: OrthomodularLattice | None = None) -> SMap:
         ratios.append(_ratio(v))
         return len(ratios) - 1
 
+    ids = L._index  # the label dict; a row's keys are hashable, so `in` cannot raise
     cell = [[None] * len(L) for _ in L.elements]
     for rlab, row in raw.items():
         r = cell[L.id_of(rlab)]
         for clab, v in row.items():
-            r[L.id_of(clab)] = index(v)
+            # index(v) runs first: a bad literal is named before its label.
+            r[ids[clab] if clab in ids else L.id_of(clab)] = index(v)
     return _smap_of_ratios(L, cell, ratios)
 
 

@@ -8,6 +8,20 @@ least upper bounds to greatest lower bounds.  ``orthogonal_pairs`` lists every
 pair a < b with a ⊥ b together with a∨b, once, for the validators' additivity
 and mixing laws, and ``atoms`` the elements whose down-set is {0, a}.
 
+``atom_splits`` is the part of ``orthogonal_pairs`` that additivity needs:
+the triples (e, x∧e⊥, x), ends sorted, for each atom e < x.  By the
+orthomodular law e ∨ (x∧e⊥) = x, and x∧e⊥ is the only b ⊥ e with e ∨ b = x,
+so these are the pairs with an atom at one end and not 0 at the other.  If
+p(0) = 0 and p is additive on them, p is additive on every orthogonal pair,
+by induction on the down-set of the join.  Take a ⊥ b, both nonzero, with
+x = a∨b, and pick an atom e ≤ a.  Then e, a∧e⊥ and b are mutually
+orthogonal and generate a Boolean subalgebra, in which
+x∧e⊥ = (a∧e⊥)∨b.  So p(x) = p(e) + p(x∧e⊥) (a split, as e ≤ a < x)
+= p(e) + p(a∧e⊥) + p(b) (by induction, as x∧e⊥ < x), and
+p(e) + p(a∧e⊥) = p(a) (a split at a, or a∧e⊥ = 0 if e = a).
+boolean(6) has 171 splits against 364 orthogonal pairs, mo(32) 32
+against 97.
+
 ``build_lattice`` closes the order by Kahn's topological sort of the
 generating pairs into up-set bitmasks (``up[i]`` is i ORed with ``up[j]`` of
 each successor j, in reverse topological order) and down-sets the mirror
@@ -75,13 +89,14 @@ class BooleanSubalgebra(namedtuple("BooleanSubalgebra", "lattice members atoms")
 class OrthomodularLattice(_LabelIndex):
     """A finite bounded lattice with a validated orthocomplementation."""
 
-    def __init__(self, labels, index, join_table, ortho, zero, one, pairs, atoms):
+    def __init__(self, labels, index, join_table, ortho, zero, one, pairs, atoms, splits):
         self.labels: tuple[str, ...] = labels
         self.atoms: tuple[int, ...] = atoms
         self._index = index
         self._join = join_table
         self._ortho = ortho
         self._pairs = pairs
+        self._splits = splits
         self.zero: int = zero
         self.one: int = one
 
@@ -98,6 +113,13 @@ class OrthomodularLattice(_LabelIndex):
     def orthogonal_pairs(self) -> tuple[tuple[int, int, int], ...]:
         """(a, b, a∨b) for every a < b with a ⊥ b, in lexicographic order."""
         return self._pairs
+
+    @property
+    def atom_splits(self) -> tuple[tuple[int, int, int], ...]:
+        """The orthogonal pairs (e, x∧e⊥, x), ends sorted, for each atom e < x,
+        in lexicographic order: additivity on these and m(0) = 0 imply
+        additivity on every orthogonal pair (see the module docstring)."""
+        return self._splits
 
     def label(self, a: int) -> str:
         return self.labels[a]
@@ -302,6 +324,12 @@ def build_lattice(
     pairs = tuple(
         (a, b, join_table[a][b]) for a in range(n) for b in _bits(down[ortho[a]]) if a < b
     )
+    # For an atom e < x, x∧e⊥ is the one b ⊥ e with e ∨ b = x, so the
+    # splits are the pairs with an atom at one end and not 0 at the other.
+    A = frozenset(atoms)
+    splits = tuple(
+        (a, b, j) for a, b, j in pairs if a in A and b != zero or b in A and a != zero
+    )
     return OrthomodularLattice(
         labels,
         index,
@@ -311,4 +339,5 @@ def build_lattice(
         one,
         pairs,
         atoms,
+        splits,
     )

@@ -24,7 +24,7 @@ from .errors import (
     NotAPartition,
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
-from .rationals import exact_dot, exact_ratios, parse_rational
+from .rationals import _fraction, exact_dot, exact_ratios, parse_rational
 from .states import ConditionalState
 
 # SMap in annotations names smap.SMap, not imported: a command that reads no
@@ -131,7 +131,7 @@ def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
             f"{f.lattice.label(b)} is not a condition",
             witness=(f.lattice.label(b),),
         )
-    return Fraction(*_expectation(f, x, b))
+    return _fraction(*_expectation(f, x, b))
 
 
 def _expectation(f: ConditionalState, x: Observable, b: int) -> tuple[int, int]:
@@ -171,7 +171,7 @@ def conditional_expectation(
     by_value: dict[tuple[int, int], list[int]] = {}
     for atom in B.atoms:
         by_value.setdefault(fx[atom], []).append(atom)
-    z = _partition(L, [(Fraction(*v), L.join_all(atoms)) for v, atoms in by_value.items()])
+    z = _partition(L, [(_fraction(*v), L.join_all(atoms)) for v, atoms in by_value.items()])
     for b, lhs in fx.items():
         rhs = _expectation(f, z, b)
         if lhs != rhs:

@@ -11,10 +11,15 @@ three-million-digit integer.  An ``int`` and the numerator and denominator of
 a ``Fraction`` are held to the same bound, so a ``Fraction`` reads back.
 A ``Decimal`` is read as its string, so NaN and Infinity are refused.  This
 is the one gate by which a caller's number becomes a reduced integer ratio:
-``_ratio``.  ``parse_rational`` is that gate plus the record rule (an exact
+``_ratio``, whose parts are exact ``int``s (an ``int`` subclass becomes an
+``int``).  It reads an ASCII-digit ``"p/q"`` of at most ``MAX_DIGITS`` digits
+a side before it scans a string's size; any other string takes the full
+path.  ``parse_rational`` is that gate plus the record rule (an exact
 ``Fraction`` is kept as the caller's object, anything else becomes the
 ``Fraction`` of its ratio), and ``_read_entries`` applies both to a
-validator's entries, reading each once.  A record's entries, ints and
+validator's entries, reading each once.  Every ``Fraction`` built from a
+reduced ratio comes from ``_fraction``, which sets its two slots and skips
+the gcd ``Fraction.__new__`` would repeat.  A record's entries, ints and
 ``Fraction``s, become ratios through ``exact_ratios``, or are summed in
 ratios by ``exact_dot``.  A message shows a value read from a JSON document
 through ``literal``, a number as its decimal rather than a ``Fraction`` repr.
@@ -59,15 +64,17 @@ def _ratio(value) -> tuple[int, int]:
             return ratio
         raise ParseError(_TOO_LONG)
     if isinstance(value, str):
+        # "p/q" in ASCII digits, each side within MAX_DIGITS: no size scan
+        # or regex.  Any other string, "p/0" included, takes the full path.
+        p, slash, q = value.partition("/")
+        if (slash and len(p) <= MAX_DIGITS and len(q) <= MAX_DIGITS
+                and value.isascii() and p.isdigit() and q.isdigit()):
+            n, d = int(p), int(q)
+            if d:
+                g = gcd(n, d)
+                return n // g, d // g
         _check_literal_size(value)
         try:
-            p, slash, q = value.partition("/")
-            # "p/q" in ASCII digits, already bounded in size: skip the regex.
-            if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
-                n, d = int(p), int(q)
-                if d:
-                    g = gcd(n, d)
-                    return n // g, d // g
             return Fraction(value.strip()).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
@@ -78,7 +85,7 @@ def _ratio(value) -> tuple[int, int]:
     if isinstance(value, int):
         if abs(value) >= _INT_BOUND:
             raise ParseError(_TOO_LONG)
-        return value, 1
+        return int(value), 1  # an int subclass, such as an IntEnum, as an int
     if isinstance(value, float):
         # Floats only appear if a JSON loader was not configured with
         # parse_float=Fraction; refuse rather than guess the intended decimal.
@@ -88,12 +95,23 @@ def _ratio(value) -> tuple[int, int]:
     raise ParseError(f"not a rational: {literal(value)}")
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The ``Fraction`` n/d of a reduced ratio of exact ints with d > 0, as
+    ``_ratio`` returns one: its two slots are set on a bare instance, so the
+    gcd ``Fraction.__new__`` would repeat is skipped (0.18 against 0.58 µs
+    on CPython 3.11.7).  No other module names these slots."""
+    q = object.__new__(Fraction)
+    q._numerator = n
+    q._denominator = d
+    return q
+
+
 def parse_rational(value) -> Fraction:
     """Parse an int, Fraction, Decimal, "p/q" string or decimal string exactly.
 
     A ``Fraction`` within the bound is returned as the same object."""
     ratio = _ratio(value)
-    return value if type(value) is Fraction else Fraction(*ratio)
+    return value if type(value) is Fraction else _fraction(*ratio)
 
 
 def _read_entries(values) -> tuple[list[Fraction], list[tuple[int, int]]]:
@@ -105,7 +123,7 @@ def _read_entries(values) -> tuple[list[Fraction], list[tuple[int, int]]]:
     for x in values:
         r = _ratio(x)
         ratios.append(r)
-        entries.append(x if type(x) is Fraction else Fraction(*r))
+        entries.append(x if type(x) is Fraction else _fraction(*r))
     return entries, ratios
 
 

@@ -7,13 +7,17 @@ it may be asymmetric, which is where the one-way independence witnessed by
 
 s1–s3 are checked in one integer kernel, ``_check_scaled_smap``, which takes
 only the table as ``states._scaled`` scales it; s3 is one list comparison
-per orthogonal pair over the rows, then over the columns
-(``_first_nonadditive``).  ``validate_smap`` reads
+per atom split over the rows, then over the columns
+(``_first_nonadditive``).  s2 has shown p(0, c) = p(c, 0) = 0 by then, so
+that implies s3 on every orthogonal pair (see ``omlprob.lattice``);
+``L.orthogonal_pairs`` are walked only after a failure, to name the first
+failing pair.  ``validate_smap`` reads
 each of the caller's entries once (``rationals._read_entries``) and scales
-the ratios; ``conditional_to_smap`` builds its ``Fraction``s, then scales
-them for the kernel with ``_scale_to_integers``, which scales a table of
-rows here and serves the two conversions only.  ``files.load_smap``
-first parses every literal to an integer ratio; ``_smap_of_ratios`` fills in
+the ratios; ``conditional_to_smap`` reduces each product f(a, b)·f(b, 1)
+once, builds its entry from that ratio (``rationals._fraction``) and
+scales the same ratios for the kernel; ``smap_to_conditional`` scales
+the ``Fraction``s of its s-map with ``_scale_to_integers``.
+``files.load_smap`` first parses every literal to an integer ratio; ``_smap_of_ratios`` fills in
 the entries s1–s3 force, the one place that rule is stated, then scales and
 checks the ratios, and builds the ``Fraction``s only for a table that
 passes.  Independence compares a product and scales nothing: both
@@ -27,6 +31,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from operator import add
 
 from .errors import (
@@ -38,7 +43,7 @@ from .errors import (
     NotAConditionalSystem,
 )
 from .lattice import OrthomodularLattice
-from .rationals import _read_entries, exact_ratios
+from .rationals import _fraction, _read_entries, exact_ratios
 from .states import (
     ONE,
     ZERO,
@@ -129,7 +134,7 @@ def _smap_of_ratios(L: OrthomodularLattice, cell, ratios) -> SMap:
             raise _missing(L, a, row.index(None))
     scaled, top = _scaled(ratios)
     _check_scaled_smap(L, [list(map(scaled.__getitem__, row)) for row in cell], top)
-    fracs = scaled if top is ONE else [Fraction(n, d) for n, d in ratios]
+    fracs = scaled if top is ONE else [_fraction(n, d) for n, d in ratios]
     return SMap(L, tuple(tuple(map(fracs.__getitem__, row)) for row in cell))
 
 
@@ -178,24 +183,27 @@ def _check_scaled_smap(L: OrthomodularLattice, vals, top) -> None:
             witness=(L.label(a), L.label(b)),
         )
     cols = list(map(list, zip(*vals)))
+    # s2 gave p(0, c) = p(c, 0) = 0, so additivity on the atom splits implies
+    # it on every orthogonal pair; only after a failure are they all walked.
+    if all(_first_nonadditive(L.atom_splits, T) is None for T in (vals, cols)):
+        return
     hits = [
         (hit, side)
         for side, T in enumerate((vals, cols))
         if (hit := _first_nonadditive(L.orthogonal_pairs, T)) is not None
     ]
-    if hits:
-        # The first failing pair (pairs are in lexicographic order), then the
-        # first c, a row before a column at the same c.
-        ((a, b, j), c), side = min(hits)
+    # The first failing pair (pairs are in lexicographic order), then the
+    # first c, a row before a column at the same c.
+    ((a, b, j), c), side = min(hits)
 
-        def entry(x):  # p(x, c) in a row, p(c, x) in a column
-            x, y = (x, c) if side == 0 else (c, x)
-            return f"p({L.label(x)}, {L.label(y)})"
+    def entry(x):  # p(x, c) in a row, p(c, x) in a column
+        x, y = (x, c) if side == 0 else (c, x)
+        return f"p({L.label(x)}, {L.label(y)})"
 
-        raise S3Violation(
-            f"{entry(j)} ≠ {entry(a)} + {entry(b)}",
-            witness=(L.label(c), (L.label(a), L.label(b)), ("first", "second")[side]),
-        )
+    raise S3Violation(
+        f"{entry(j)} ≠ {entry(a)} + {entry(b)}",
+        witness=(L.label(c), (L.label(a), L.label(b)), ("first", "second")[side]),
+    )
 
 
 def nu_state(p: SMap) -> State:
@@ -247,18 +255,25 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
             f"{[L.label(b) for b in missing]}",
             witness=tuple(L.label(b) for b in missing),
         )
-    rows = [[ZERO] * len(L) for _ in L.elements]
+    n = len(L)
+    rows = [[ZERO] * n for _ in L.elements]
+    ratios = [(0, 1)] * (n * n)  # p's reduced ratios, row-major
     for b, m in zip(L.elements, marginal):
         if m != 0:
             col = [m] + [tab[(a, b)] for a in L.elements]
-            (mn, md), *ratios = exact_ratios(col, f"f(., {L.label(b)})")
-            mf = Fraction(mn, md)  # p(a, b) where f(a, b) = 1
-            for row, (n, d) in zip(rows, ratios):
-                if n:
-                    row[b] = mf if n == d else Fraction(n * mn, d * md)
-    rows = tuple(map(tuple, rows))
-    _check_scaled_smap(L, *_scale_to_integers(rows))
-    return SMap(L, rows)
+            mr, *fcol = exact_ratios(col, f"f(., {L.label(b)})")
+            mf = _fraction(*mr)  # p(a, b) where f(a, b) = 1
+            for a, (x, d) in enumerate(fcol):
+                if x == d:
+                    rows[a][b], ratios[a * n + b] = mf, mr
+                elif x:
+                    x, d = x * mr[0], d * mr[1]
+                    g = gcd(x, d)
+                    ratios[a * n + b] = r = x // g, d // g
+                    rows[a][b] = _fraction(*r)
+    vals, top = _scaled(ratios)
+    _check_scaled_smap(L, [vals[i:i + n] for i in range(0, n * n, n)], top)
+    return SMap(L, tuple(map(tuple, rows)))
 
 
 def _is_product(x, a, b) -> bool:

@@ -5,15 +5,18 @@ law C3 are equality statements, so nothing here tolerates floating point.
 The axioms of states, conditional states and s-maps are checked by kernels
 that take only the table scaled to integers by the lcm of its denominators
 (``_scaled``, the one scaler those kernels share; ``smap._scale_to_integers``
-applies it to a table of rows for the two conversions) and raise or return
+applies it to a table of rows for ``smap_to_conditional``) and raise or return
 None; each entry point then builds its record of ``Fraction`` values.  A
 validator reads each of a caller's entries once, through
 ``rationals._read_entries``: the size bound of ``parse_rational`` and the
 reduced ratio in one call, and the record keeps an exact ``Fraction`` as the
 caller's object.  Tables the package builds itself are read through
 ``rationals.exact_ratios``.  State additivity is one scalar comparison per
-orthogonal pair, m(a) + m(b) = m(a ∨ b) on the scaled entries; C1 of a
-conditional state is that state check, run once per section.
+atom split (``L.atom_splits``), m(a) + m(b) = m(a ∨ b) on the scaled
+entries; with m(0) = 0, checked first, that implies it on every orthogonal
+pair (see ``omlprob.lattice``), and ``L.orthogonal_pairs`` are walked only
+after a failure, to name the first failing pair.  C1 of a conditional state
+is that state check, run once per section.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     ZeroMassCondition,
 )
 from .lattice import OrthomodularLattice
-from .rationals import _read_entries, exact_ratios, parse_rational
+from .rationals import _fraction, _read_entries, exact_ratios, parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -62,7 +65,7 @@ def _scaled(ratios):
     for d in dens:
         D = lcm(D, d)
         if D.bit_length() > MAX_SCALE_BITS:
-            return [Fraction(n, d) for n, d in ratios], ONE
+            return [_fraction(n, d) for n, d in ratios], ONE
     scale = {d: D // d for d in dens}
     return [n * scale[d] for n, d in ratios], D
 
@@ -99,8 +102,9 @@ def validate_state(L: OrthomodularLattice, values) -> State:
 def _check_state(L: OrthomodularLattice, ints, top) -> None:
     """``validate_state``'s checks of m, given as ``ints`` = top·m with top > 0
     (ints, or ``Fraction``s past 2**MAX_SCALE_BITS); m(a) shows as ints[a]/top.
-    Additivity is one scalar comparison per pair of ``L.orthogonal_pairs``,
-    taken in its order."""
+    Additivity is one scalar comparison per triple of ``L.atom_splits``,
+    which with m(0) = 0 implies it on every orthogonal pair; only after a
+    failure are ``L.orthogonal_pairs`` walked, to name the first that fails."""
     if min(ints) < 0 or max(ints) > top:
         a = next(a for a, x in enumerate(ints) if not 0 <= x <= top)
         raise NotNormalized(
@@ -110,8 +114,10 @@ def _check_state(L: OrthomodularLattice, ints, top) -> None:
         raise NotNormalized(f"m(0) = {Fraction(ints[L.zero], top)} ≠ 0", witness=(L.label(L.zero),))
     if ints[L.one] != top:
         raise NotNormalized(f"m(1) = {Fraction(ints[L.one], top)} ≠ 1", witness=(L.label(L.one),))
-    for a, b, j in L.orthogonal_pairs:
+    for a, b, j in L.atom_splits:
         if ints[a] + ints[b] != ints[j]:
+            # Then some orthogonal pair fails too; name the first one.
+            a, b = next((a, b) for a, b, j in L.orthogonal_pairs if ints[a] + ints[b] != ints[j])
             raise NotAdditive(
                 f"m({L.label(a)} ∨ {L.label(b)}) ≠ "
                 f"m({L.label(a)}) + m({L.label(b)})",
@@ -167,7 +173,7 @@ def validate_conditional_state(
     section keeps its ``Fraction``s and D_a = 1).  C1 and C2 are checked in
     one walk over cs in its iteration order: section a is ``_check_state``
     on R_a (bounds, f(0, a) = 0, f(1, a) = D_a and one scalar additivity
-    comparison per orthogonal pair), then C2 is R_a[a] = D_a, so the first
+    comparison per atom split), then C2 is R_a[a] = D_a, so the first
     failure named is the first one that walk meets.  C3 at a pair (a₁, a₂)
     with join j, multiplied through by D_j·D₁·D₂, is the one list comparison
     D₁·D₂·R_j = (R_j[a₁]·D₂)·R_{a₁} + (R_j[a₂]·D₁)·R_{a₂}.

@@ -4,9 +4,14 @@ The library checks the mixing law C3 on orthogonal pairs only.  The C3 oracle
 here walks every orthogonal family of the conditional system (2^|cs|
 subsets), so it is only usable on small lattices.
 
-The library reads the orthogonal pairs of additivity and s3 from
-``L.orthogonal_pairs``.  The additivity and s3 oracles find them with a
-double loop over all elements and an orthogonality test instead.
+The library checks additivity and s3 on ``L.atom_splits``, the orthogonal
+pairs with an atom at one end and not 0 at the other, and names a failure
+from ``L.orthogonal_pairs``.  The additivity and s3 oracles find every
+orthogonal pair with a double loop over all elements and an orthogonality
+test instead.  The atom-split oracle builds the triples (e, x∧e⊥, x) from
+the meet table of the Warshall closure, and the additive-basis oracle
+spans the functions additive on every orthogonal pair by exact
+elimination.
 
 The library checks s1–s3 on the s-map table scaled to a common denominator.
 The s-map oracle checks them on the ``Fraction`` entries, one at a time.
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Mapping
 
 from omlprob.errors import (
@@ -566,3 +572,56 @@ def lattice_tables_exhaustive(labels, leq_pairs, ortho_pairs) -> dict:
         "ortho": tuple(ortho),
         "zero": zero,
     }
+
+
+def atom_splits_exhaustive(labels, leq_pairs, ortho_pairs) -> list[tuple[int, int, int]]:
+    """(e, x∧e⊥, x), its first two entries sorted, for each atom e and each
+    x > e of the Warshall closure of ``leq_pairs``, once each, sorted.  The
+    meets come from ``lattice_tables_exhaustive``, so an ortholattice that
+    is not orthomodular (o6) has them too."""
+    T = lattice_tables_exhaustive(labels, leq_pairs, ortho_pairs)
+    out = set()
+    for e in T["atoms"]:
+        for x in _members(T["up"][e]):
+            if x != e:
+                y = T["meet"][x][T["ortho"][e]]
+                out.add((min(e, y), max(e, y), x))
+    return sorted(out)
+
+
+def additive_basis(n: int, zero: int, pairs) -> list[list[int]]:
+    """Integer vectors spanning the functions f on range(n) with f(zero) = 0
+    and f(j) = f(a) + f(b) for every (a, b, j) in ``pairs``: the null space
+    of those equations, whose rows are kept in reduced row echelon form as
+    sparse ``{column: Fraction}`` maps, one equation added at a time."""
+    rref = {}  # pivot column -> its row, 1 at the pivot, 0 at every other pivot
+    for a, b, j in [*pairs, (zero, zero, zero)]:
+        row = {}
+        for col, c in ((a, 1), (b, 1), (j, -1)):
+            row[col] = row.get(col, 0) + c
+        for col in [col for col in row if col in rref]:
+            c = row.pop(col)
+            for k, x in rref[col].items():
+                if k != col:
+                    row[k] = row.get(k, 0) - c * x
+        row = {k: Fraction(x) for k, x in row.items() if x}
+        if row:
+            col = min(row)
+            row = {k: x / row[col] for k, x in row.items()}
+            for other in rref.values():
+                c = other.pop(col, 0)
+                for k, x in row.items():
+                    if k != col and c:
+                        other[k] = other.get(k, 0) - c * x
+                for k in [k for k, x in other.items() if not x]:
+                    del other[k]
+            rref[col] = row
+    basis = []
+    for free in (c for c in range(n) if c not in rref):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for col, row in rref.items():
+            v[col] = -row.get(free, 0)
+        scale = lcm(*(Fraction(x).denominator for x in v))
+        basis.append([int(x * scale) for x in v])
+    return basis

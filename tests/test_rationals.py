@@ -1,11 +1,19 @@
+import pickle
 import time
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from omlprob import rationals
 from omlprob.errors import NoExactDecimal, ParseError
 from omlprob.rationals import (
+    MAX_DIGITS,
+    _fraction,
+    _ratio,
     exact_dot,
     format_rational,
     has_finite_decimal,
@@ -160,3 +168,99 @@ def test_exact_dot_skips_zero_terms():
     assert got == (7, 10)
     assert exact_dot([0, 1], [0.5, 1]) is None
     assert exact_dot([F(1, 2), "0"], [1, 0]) is None
+
+
+PART = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(10**6), 10**6),
+    st.integers(1 - 10**MAX_DIGITS, 10**MAX_DIGITS - 1),
+)
+
+
+@st.composite
+def reduced_ratios(draw):
+    n, d = draw(PART), abs(draw(PART)) or 1
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+@given(reduced_ratios(), reduced_ratios())
+def test_fraction_of_a_reduced_ratio_is_the_fraction(r, s):
+    """``_fraction`` sets the slots ``Fraction.__new__`` would set: it is
+    equal to, hashes, prints, computes and pickles as ``Fraction(n, d)``."""
+    x, want = _fraction(*r), F(*r)
+    assert type(x) is F
+    assert x == want and hash(x) == hash(want) and repr(x) == repr(want)
+    assert (x.numerator, x.denominator) == r
+    assert all(type(v) is int for v in (x.numerator, x.denominator))
+    y = _fraction(*s)
+    assert (x + y, x - y, x * y, x < y, x == y) == (want + F(*s), want - F(*s), want * F(*s),
+                                                    want < F(*s), want == F(*s))
+    if y:
+        assert x / y == want / F(*s)
+    back = pickle.loads(pickle.dumps(x))
+    assert type(back) is F and back == want
+
+
+class _E(IntEnum):
+    ONE = 1
+
+
+class _Int(int):
+    pass
+
+
+RATIONAL_VALUES = st.one_of(
+    st.integers(1 - 10**MAX_DIGITS, 10**MAX_DIGITS - 1),
+    st.sampled_from([_E.ONE, _Int(-7), _Int(0), Decimal("0.25"), Decimal("-3")]),
+    st.builds(F, st.integers(-(10**20), 10**20), st.integers(1, 10**20)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(0, 10**30), st.integers(1, 10**30)),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    st.decimals(allow_nan=False, allow_infinity=False, places=6).map(str),
+)
+
+
+@given(RATIONAL_VALUES)
+def test_ratio_holds_exact_ints(value):
+    """``_ratio`` returns a reduced ratio of exact ``int``s with d > 0, the
+    precondition of ``_fraction``; an int subclass becomes an int."""
+    n, d = _ratio(value)
+    assert type(n) is int and type(d) is int
+    assert d > 0 and gcd(n, d) == 1
+    assert F(n, d) == F(value)
+
+
+def test_int_subclass_reads_as_an_int():
+    assert _ratio(_E.ONE) == (1, 1) and type(_ratio(_E.ONE)[0]) is int
+    q = parse_rational(_E.ONE)
+    assert type(q) is F and type(q.numerator) is int and q == 1
+
+
+@given(st.text("0123456789/-+ .e_٣", max_size=12) | st.builds(
+    lambda p, q: f"{p}/{q}", st.text("0123456789", max_size=1002), st.text("0123456789", max_size=1002)
+))
+def test_ascii_fraction_fast_path_is_exactly_bounded_p_q(text):
+    """Only an ASCII-digit "p/q" with each side of at most MAX_DIGITS
+    digits and q ≠ 0 skips the size scan; every other string takes the
+    full path, with its result or message."""
+    p, slash, q = text.partition("/")
+    fast = bool(slash and p.isdigit() and q.isdigit() and p.isascii() and q.isascii()
+                and len(p) <= MAX_DIGITS and len(q) <= MAX_DIGITS and int(q))
+    scanned = []
+    check = rationals._check_literal_size
+    try:
+        rationals._check_literal_size = lambda t: scanned.append(t) or check(t)
+        got = _ratio(text)
+    except ParseError as exc:
+        got = str(exc)
+    finally:
+        rationals._check_literal_size = check
+    assert scanned == ([] if fast else [text])
+    try:
+        check(text)
+        want = F(text.strip()).as_integer_ratio()
+    except ParseError as exc:
+        want = str(exc)
+    except (ValueError, ZeroDivisionError):
+        want = f"not a rational: {text!r}"
+    assert got == want

@@ -36,6 +36,21 @@ def test_as_integer_ratio_only_in_rationals():
     assert found == []
 
 
+def test_fraction_slots_only_in_rationals():
+    """Only rationals._fraction sets a ``Fraction``'s slots, so no other
+    module names them; a Python whose ``Fraction`` changes its slots fails
+    the tests of ``_fraction``, not a hidden caller."""
+    found = [
+        f"{path.name}:{lineno}"
+        for path in MODULES
+        if path.name != "rationals.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "_numerator" in line or "_denominator" in line
+    ]
+    assert MODULES
+    assert found == []
+
+
 def test_no_assert_in_src():
     """No check or message of the package is an ``assert``, which
     ``python -O`` strips."""
