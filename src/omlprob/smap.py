@@ -15,8 +15,11 @@ failing pair.  ``validate_smap`` reads
 each of the caller's entries once (``rationals._read_entries``) and scales
 the ratios; ``conditional_to_smap`` reduces each product f(a, b)·f(b, 1)
 once, builds its entry from that ratio (``rationals._fraction``) and
-scales the same ratios for the kernel; ``smap_to_conditional`` scales
-the ``Fraction``s of its s-map with ``_scale_to_integers``.
+scales the same ratios for the kernel; ``smap_to_conditional`` reads its
+s-map once as rows of reduced ratios (``_ratio_rows``, the reader
+``scan_asymmetric_pairs`` shares), scales them once, and after C1–C3 builds
+each f(a, b) from the product p(a, b)·(d/n), n/d = p(b, b), reduced the
+same way.
 ``files.load_smap`` first parses every literal to an integer ratio; ``_smap_of_ratios`` fills in
 the entries s1–s3 force, the one place that rule is stated, then scales and
 checks the ratios, and builds the ``Fraction``s only for a table that
@@ -30,7 +33,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 from operator import add
 
@@ -50,6 +52,7 @@ from .states import (
     ConditionalState,
     State,
     _check_conditional_state,
+    _missing_entry,
     _scaled,
     validate_state,
 )
@@ -92,13 +95,6 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
     vals, top = _scaled([r for _, ratios in read for r in ratios])
     _check_scaled_smap(L, [vals[i:i + n] for i in range(0, n * n, n)], top)
     return SMap(L, tuple(tuple(row) for row, _ in read))
-
-
-def _scale_to_integers(rows):
-    """``_scaled`` of a table of rows of ints and ``Fraction``s, by rows."""
-    vals, D = _scaled(exact_ratios([x for row in rows for x in row], "the s-map table"))
-    it = iter(vals)
-    return [list(islice(it, len(row))) for row in rows], D
 
 
 def _missing(L: OrthomodularLattice, a: int, b: int) -> S1Violation:
@@ -213,10 +209,29 @@ def nu_state(p: SMap) -> State:
     return validate_state(p.lattice, diag)
 
 
+def _ratio_rows(p: SMap) -> list[list[tuple[int, int]]]:
+    """The rows of p's table as reduced ratios, one ``exact_ratios`` call
+    per row; a table that is not n×n is refused as ``validate_smap``
+    refuses one."""
+    t = [exact_ratios(row, "the s-map table") for row in p.table]
+    if len(t) != len(p.lattice) or any(len(row) != len(t) for row in t):
+        raise S1Violation("table is not total")
+    return t
+
+
 def smap_to_conditional(p: SMap) -> ConditionalState:
-    """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b), so
-    section b is column b of P = D·p (``_scale_to_integers``) over P[b][b]."""
+    """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b).
+
+    p is read once (``_ratio_rows``) and scaled once (``_scaled``), by
+    columns, so section b is column b of P = D·p over P[b][b].  Once C1–C3
+    hold, each f(a, b) is built from the ratio (n_a·d_b, d_a·n_b) of
+    p(a, b) = n_a/d_a over p(b, b) = n_b/d_b, reduced by one gcd, as
+    ``conditional_to_smap`` builds its products; a column with p(b, b) < 0
+    is negated first, so d_a·n_b > 0.
+    """
     L = p.lattice
+    # Column b negated where p(b, b) < 0 (only in a hand-built p): _check_state needs D[b] > 0.
+    cols = [c if c[b][0] >= 0 else [(-x, d) for x, d in c] for b, c in enumerate(zip(*_ratio_rows(p)))]
     cs = p.support
     try:
         L.check_conditional_system(cs)
@@ -225,16 +240,26 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
             f"support of the s-map is not a conditional system: {exc}",
             witness=exc.witness,
         ) from exc
-    P, _ = _scale_to_integers(p.table)
-    cols = list(zip(*P))
-    # Negated where P[b][b] < 0 (only in a hand-built p): _check_state needs D[b] > 0.
-    R = {b: cols[b] if P[b][b] > 0 else [-x for x in cols[b]] for b in cs}
-    D = {b: R[b][b] for b in cs}
-    _check_conditional_state(L, cs, R, D)
+    n = len(L)
+    P, _ = _scaled([r for col in cols for r in col])
+    R = {b: P[b * n:b * n + n] for b in cs}
+    _check_conditional_state(L, cs, R, {b: R[b][b] for b in cs})
     return ConditionalState(L, cs, {
-        (a, b): ZERO if x == 0 else ONE if x == d else Fraction(x, d)
-        for b, col in R.items() for d in (D[b],) for a, x in enumerate(col)
+        (a, b): ZERO if not x else ONE if x == d else _fraction(x // g, d // g)
+        for b in cs for n_b, d_b in (cols[b][b],)
+        for a, (n_a, d_a) in enumerate(cols[b])
+        for x, d in ((n_a * d_b, d_a * n_b),) for g in (gcd(x, d),)
     })
+
+
+def _section(f: ConditionalState, b: int) -> list:
+    """The entries f(., b) by element; the first one missing from the table
+    is refused as ``validate_conditional_state`` refuses it."""
+    tab = f.table
+    try:
+        return [tab[(a, b)] for a in f.lattice.elements]
+    except KeyError as exc:
+        raise _missing_entry(f.lattice, *exc.args[0]) from None
 
 
 def conditional_to_smap(f: ConditionalState) -> SMap:
@@ -246,8 +271,7 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
     L = f.lattice
     if L.one not in f.conditions:
         raise DomainTooSmall("1 is not a condition", witness=(L.label(L.one),))
-    tab = f.table
-    marginal = [tab[(b, L.one)] for b in L.elements]
+    marginal = _section(f, L.one)
     missing = [b for b, m in zip(L.elements, marginal) if m != 0 and b not in f.conditions]
     if missing:
         raise DomainTooSmall(
@@ -260,8 +284,7 @@ def conditional_to_smap(f: ConditionalState) -> SMap:
     ratios = [(0, 1)] * (n * n)  # p's reduced ratios, row-major
     for b, m in zip(L.elements, marginal):
         if m != 0:
-            col = [m] + [tab[(a, b)] for a in L.elements]
-            mr, *fcol = exact_ratios(col, f"f(., {L.label(b)})")
+            mr, *fcol = exact_ratios([m, *_section(f, b)], f"f(., {L.label(b)})")
             mf = _fraction(*mr)  # p(a, b) where f(a, b) = 1
             for a, (x, d) in enumerate(fcol):
                 if x == d:
@@ -296,7 +319,7 @@ def scan_asymmetric_pairs(p: SMap) -> list[tuple[int, int]]:
     pair) cannot be asymmetric and needs no product; otherwise each
     direction is ``is_independent_product``'s test, ``_is_product``.
     """
-    t = [exact_ratios(row, "the s-map table") for row in p.table]
+    t = _ratio_rows(p)
     out = []
     for a, row in enumerate(t):
         for b in range(a + 1, len(t)):

@@ -4,13 +4,12 @@ All probabilities are exact ``Fraction`` values; independence and the mixing
 law C3 are equality statements, so nothing here tolerates floating point.
 The axioms of states, conditional states and s-maps are checked by kernels
 that take only the table scaled to integers by the lcm of its denominators
-(``_scaled``, the one scaler those kernels share; ``smap._scale_to_integers``
-applies it to a table of rows for ``smap_to_conditional``) and raise or return
-None; each entry point then builds its record of ``Fraction`` values.  A
-validator reads each of a caller's entries once, through
-``rationals._read_entries``: the size bound of ``parse_rational`` and the
-reduced ratio in one call, and the record keeps an exact ``Fraction`` as the
-caller's object.  Tables the package builds itself are read through
+(``_scaled``, the package's one scaler, which those kernels and both
+``smap`` conversions share) and raise or return None; each entry point then
+builds its record of ``Fraction`` values.  A validator reads each of a
+caller's entries once, through ``rationals._read_entries``: the size bound
+of ``parse_rational`` and the reduced ratio in one call, and the record
+keeps an exact ``Fraction`` as the caller's object.  Tables the package builds itself are read through
 ``rationals.exact_ratios``.  State additivity is one scalar comparison per
 atom split (``L.atom_splits``), m(a) + m(b) = m(a ∨ b) on the scaled
 entries; with m(0) = 0, checked first, that implies it on every orthogonal
@@ -194,13 +193,17 @@ def validate_conditional_state(
         try:
             read, ratios = _read_entries(map(table.__getitem__, section))
         except KeyError as exc:
-            b, a = (L.label(x) for x in exc.args[0])
-            raise C1Violation(f"table missing f({b}, {a})", witness=(b, a)) from None
+            raise _missing_entry(L, *exc.args[0]) from None
         keys += section
         entries += read
         R[a], D[a] = _scaled(ratios)
     _check_conditional_state(L, cs, R, D)
     return ConditionalState(L, cs, dict(zip(keys, entries)))
+
+
+def _missing_entry(L: OrthomodularLattice, b: int, a: int) -> C1Violation:
+    b, a = L.label(b), L.label(a)
+    return C1Violation(f"table missing f({b}, {a})", witness=(b, a))
 
 
 def _check_conditional_state(L, cs, R, D) -> None:

@@ -3,13 +3,14 @@ their ``Fraction`` formulas (``oracles``), on seeded instances, catalog
 tables and tables whose common denominator passes 2**MAX_SCALE_BITS.
 Every entry they return is a ``Fraction``."""
 
+import operator
 from fractions import Fraction as F
 from itertools import chain
 
 import pytest
 
 import omlprob as q
-from omlprob import smap, states
+from omlprob import rationals, smap, states
 from omlprob.errors import C1Violation, NoSolution, ParseError, S1Violation, S3Violation
 from omlprob.observables import Observable
 from omlprob.smap import SMap
@@ -24,7 +25,7 @@ from oracles import (
     smap_of_conditional,
 )
 from test_cstate_kernel import M521, M607, _mersenne_cstate
-from test_smap_kernel import _prime_denominator_table, _primes_from
+from test_smap_kernel import _prime_denominator_table, _primes_from, _scaled_table
 
 
 def _all_fractions(values):
@@ -71,7 +72,7 @@ def test_catalog_tables_match_the_oracles(kind, n):
 def test_mersenne_sections_match_the_oracles():
     L, _, cs, tab = _mersenne_cstate()
     f = q.validate_conditional_state(L, cs, tab)
-    assert smap._scale_to_integers(q.conditional_to_smap(f).table)[1] is states.ONE
+    assert _scaled_table(q.conditional_to_smap(f).table)[1] is states.ONE
     _assert_conversions_match(f)
 
 
@@ -85,7 +86,7 @@ def test_mixtures_past_the_bound_match_the_oracles(kind, n):
     p = q.validate_smap(
         L, [[t * x + (1 - t) * y for x, y in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
     )
-    assert smap._scale_to_integers(p.table)[1] is states.ONE
+    assert _scaled_table(p.table)[1] is states.ONE
     f = q.smap_to_conditional(p)
     _assert_conversions_match(f, p)
     assert q.conditional_to_smap(f) == p
@@ -112,7 +113,7 @@ def test_a_product_that_is_no_smap_is_refused(kind, n, past_bound, error):
     bad = ConditionalState(L, f.conditions, {**f.table, key: value})
     want = smap_exhaustive(L, smap_of_conditional(bad))
     assert type(want) is error
-    scale = smap._scale_to_integers(smap_of_conditional(bad))[1]
+    scale = _scaled_table(smap_of_conditional(bad))[1]
     assert (scale is states.ONE) == past_bound
     with pytest.raises(error) as exc:
         q.conditional_to_smap(bad)
@@ -168,10 +169,71 @@ def test_negative_diagonal_sections_are_fractions(example_smap, mo2, label):
     assert _all_fractions(f.table.values())
 
 
+@pytest.mark.parametrize("shape", ["short row", "long rows", "missing row"])
+@pytest.mark.parametrize("reader", [q.smap_to_conditional, q.scan_asymmetric_pairs],
+                         ids=lambda fn: fn.__name__)
+def test_a_table_that_is_not_square_is_refused(example_smap, mo2, reader, shape):
+    """A hand-built record whose table is not n×n is refused with the S1
+    failure ``validate_smap`` gives the same rows; an extra entry is not
+    dropped and a missing row does not shorten the scan."""
+    rows = [list(r) for r in example_smap.table]
+    if shape == "short row":
+        rows[-1].pop()
+    elif shape == "long rows":
+        rows = [row + [F(0)] for row in rows]
+    else:
+        rows.pop()
+    with pytest.raises(S1Violation) as want:
+        q.validate_smap(mo2, rows)
+    with pytest.raises(S1Violation) as exc:
+        reader(SMap(mo2, tuple(map(tuple, rows))))
+    assert str(exc.value) == str(want.value) == "table is not total"
+
+
+@pytest.mark.parametrize("entry", ["marginal", "section"])
+def test_a_missing_entry_is_refused_like_validation(example_f, mo2, entry):
+    """``conditional_to_smap`` on a hand-built record without f(a', 1) (a
+    marginal) or without f(0, a) (an entry of a support column) raises the
+    C1 failure ``validate_conditional_state`` gives the same table."""
+    a, ap = mo2.id_of("a"), mo2.id_of("a'")
+    key = (ap, mo2.one) if entry == "marginal" else (mo2.zero, a)
+    table = dict(example_f.table)
+    del table[key]
+    with pytest.raises(C1Violation) as want:
+        q.validate_conditional_state(mo2, example_f.conditions, table)
+    with pytest.raises(C1Violation) as exc:
+        q.conditional_to_smap(ConditionalState(mo2, example_f.conditions, table))
+    assert str(exc.value) == str(want.value) == "table missing f({}, {})".format(*exc.value.witness)
+    assert exc.value.witness == want.value.witness == tuple(map(mo2.label, key))
+
+
+@pytest.mark.parametrize("kind, n", [("mo", 3), ("boolean", 3)])
+def test_smap_to_conditional_reads_each_row_once_and_scales_once(monkeypatch, kind, n):
+    """p's table is read row by row through ``exact_ratios``, each row once,
+    and scaled by one ``_scaled`` call."""
+    p = q.random_smap(q.build_catalog(kind, n), 0)
+    read, scaled = [], []
+
+    def exact_ratios(values, where):
+        read.append(values)
+        return rationals.exact_ratios(values, where)
+
+    def _scaled(ratios):
+        scaled.append(len(ratios))
+        return states._scaled(ratios)
+
+    monkeypatch.setattr(smap, "exact_ratios", exact_ratios)
+    monkeypatch.setattr(smap, "_scaled", _scaled)
+    f = q.smap_to_conditional(p)
+    assert len(read) == len(p.table) and all(map(operator.is_, read, p.table))
+    assert scaled == [len(p.lattice) ** 2]
+    assert f.table == conditional_of_smap(p)
+
+
 def test_prime_denominator_table_matches_the_oracles():
     L = q.build_catalog("mo", 16)
     p = q.validate_smap(L, _prime_denominator_table(L, _primes_from(2**61, 16 * 15)))
-    assert smap._scale_to_integers(p.table)[1] is states.ONE
+    assert _scaled_table(p.table)[1] is states.ONE
     f = q.smap_to_conditional(p)
     _assert_conversions_match(f, p)
     assert q.conditional_to_smap(f) == p
@@ -199,10 +261,11 @@ def test_expectation_over_coprime_denominators():
 def test_float_entries_are_refused(example_f, example_smap, mo2):
     """Only int and Fraction entries are converted, scanned, tested for
     independence or summed into an expectation, the observable's values
-    included; a bool is refused too."""
+    included; a bool is refused too, and so is a 0.0 on the diagonal,
+    before it can drop its element from the support."""
     a = mo2.id_of("a")
     x_on_a = q.make_observable(mo2, [(1, a), (2, mo2.ortho(a))])
-    for bad in (0.4, "2/5", None, True):
+    for bad in (0.4, "2/5", None, True, 0.0):
         x_bad = Observable(mo2, (bad, 2), {bad: a, 2: mo2.ortho(a)})
         with pytest.raises(ParseError):
             q.expectation(example_f, x_bad, mo2.one)

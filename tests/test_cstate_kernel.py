@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import omlprob as q
-from omlprob import smap, states
+from omlprob import states
 from omlprob.catalog import mo_blocks
 from omlprob.errors import C1Violation, C2Violation, C3Violation
+from omlprob.rationals import exact_ratios
 
 from oracles import assert_same_failure, cstate_exhaustive
 
@@ -171,7 +172,8 @@ def _mersenne_cstate():
 
 def test_bounded_sections_agree_with_oracle():
     L, blocks, cs, tab = _mersenne_cstate()
-    scaled = {a: smap._scale_to_integers(([tab[(b, a)] for b in L.elements],))[1] for a in cs}
+    scaled = {a: states._scaled(exact_ratios([tab[(b, a)] for b in L.elements], "a section"))[1]
+              for a in cs}
     assert scaled[L.one] is states.ONE
     assert scaled[blocks[3][0]] is not states.ONE  # 89 + 107 + 127 + 607 bits
     assert scaled[blocks[0][0]] is states.ONE

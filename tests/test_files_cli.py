@@ -758,6 +758,16 @@ class TestConvertCommand:
         want = json.loads((DATA / "two_blocks_smap.json").read_text())
         assert got["table"] == want["table"]
 
+    @pytest.mark.parametrize("source, stored", [
+        ("two_blocks_smap.json", "two_blocks_f.json"),
+        ("two_blocks_f.json", "two_blocks_smap.json"),
+    ])
+    def test_output_is_the_stored_document_byte_for_byte(self, capsys, tmp_path, source, stored):
+        out = tmp_path / "out.json"
+        code, _ = run(capsys, "convert", str(DATA / source), "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (DATA / stored).read_bytes()
+
     def test_round_trip_through_files(self, capsys, tmp_path, mo2):
         smap_out = tmp_path / "smap.json"
         f_out = tmp_path / "f.json"

@@ -88,8 +88,8 @@ def test_scan_is_independence_in_one_direction(kind, data):
 
 
 def test_scan_builds_no_scaled_table(monkeypatch, example_smap):
-    """The scan reads reduced ratios; it calls neither scaler, on a table
-    whose common denominator is small or past 2**1024."""
+    """The scan reads reduced ratios; it never calls ``_scaled``, on a
+    table whose common denominator is small or past 2**1024."""
     L = q.build_catalog("mo", 16)
     tables = [example_smap,
               q.validate_smap(L, _prime_denominator_table(L, _primes_from(2**61, 16 * 15)))]
@@ -98,6 +98,5 @@ def test_scan_builds_no_scaled_table(monkeypatch, example_smap):
         raise AssertionError("the scan scaled the table")
 
     monkeypatch.setattr(smap, "_scaled", refuse)
-    monkeypatch.setattr(smap, "_scale_to_integers", refuse)
     for p in tables:
         assert q.scan_asymmetric_pairs(p) == asymmetric_pairs_exhaustive(p)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omlprob as q
-from omlprob import smap, states
+from omlprob import states
 from omlprob.catalog import is_boolean_lattice, mo_blocks
 from omlprob.errors import S1Violation, S2Violation, S3Violation
+from omlprob.rationals import exact_ratios
 
 from oracles import assert_same_failure, asymmetric_pairs_exhaustive, smap_exhaustive
 
@@ -22,6 +23,11 @@ KINDS = (
 DENOMS = (3, 7, 1000) + tuple(2**k for k in (1, 5, 20))
 PERTURBATIONS = ("none", "below", "above", "top", "orthogonal", "entry")
 FORMS = ("fraction", "mapping", "str", "int")
+
+
+def _scaled_table(rows):
+    """``states._scaled`` of a table's entries, read in row-major order."""
+    return states._scaled(exact_ratios([x for row in rows for x in row], "the s-map table"))
 
 
 @lru_cache(maxsize=None)
@@ -140,19 +146,19 @@ def test_s2_reports_the_least_failing_entry(entries, first):
 
 def test_catalog_tables_are_checked_on_integers():
     rows = q.random_smap(q.build_catalog("mo", 3), 0).table
-    vals, top = smap._scale_to_integers(rows)
+    vals, top = _scaled_table(rows)
     assert top == lcm(*(x.denominator for row in rows for x in row))
     assert top.bit_length() <= 20
-    assert all(type(v) is int and v == x * top for r, row in zip(rows, vals)
-               for x, v in zip(r, row))
+    assert all(type(v) is int and v == x * top
+               for x, v in zip((x for row in rows for x in row), vals, strict=True))
 
 
 def test_scaling_stops_at_the_bound():
     bound = states.MAX_SCALE_BITS
     below = ((F(1, 2**(bound - 1)),),)
     at = ((F(1, 2**bound),),)
-    assert smap._scale_to_integers(below) == ([[1]], 2**(bound - 1))
-    assert smap._scale_to_integers(at) == ([[F(1, 2**bound)]], states.ONE)
+    assert _scaled_table(below) == ([1], 2**(bound - 1))
+    assert _scaled_table(at) == ([F(1, 2**bound)], states.ONE)
 
 
 def _is_prime(n):
@@ -214,7 +220,7 @@ def test_prime_denominators_take_the_bounded_path():
     primes = _primes_from(2**61, 16 * 15)
     rows = _prime_denominator_table(L, primes)
     assert len({x.denominator for row in rows for x in row}) > 200
-    vals, top = smap._scale_to_integers(tuple(map(tuple, rows)))
+    vals, top = _scaled_table(rows)
     assert top is states.ONE
 
     start = time.perf_counter()
@@ -238,7 +244,7 @@ def test_scan_past_the_scaling_bound_matches_the_oracle():
     primes = _primes_from(2**61, 16 * 15)
     dens = [4 if i % 3 == 0 else P for i, P in enumerate(primes)]
     rows = _prime_denominator_table(L, dens)
-    assert smap._scale_to_integers(rows)[1] is states.ONE
+    assert _scaled_table(rows)[1] is states.ONE
     p = q.validate_smap(L, rows)
     it = iter(dens)
     den = {(i, j): next(it) for i in range(16) for j in range(16) if i != j}

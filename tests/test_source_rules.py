@@ -62,3 +62,28 @@ def test_no_assert_in_src():
     ]
     assert MODULES
     assert found == []
+
+
+def test_one_scaler():
+    """``states._scaled`` is the one function that computes a common
+    denominator: no other module names ``lcm``, and states.py names it only
+    in its import and in ``_scaled``."""
+    def names_lcm(node):
+        return any(
+            isinstance(n, ast.Name) and n.id == "lcm"
+            or isinstance(n, ast.Attribute) and n.attr == "lcm"
+            or isinstance(n, ast.alias) and n.name == "lcm"
+            for n in ast.walk(node)
+        )
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if names_lcm(node) and not (
+            path.name == "states.py"
+            and (isinstance(node, ast.ImportFrom) or getattr(node, "name", "") == "_scaled")
+        )
+    ]
+    assert MODULES
+    assert found == []
