@@ -97,6 +97,7 @@ class OrthomodularLattice(_LabelIndex):
         self._ortho = ortho
         self._pairs = pairs
         self._splits = splits
+        self._nonzero = frozenset(range(len(labels))) - {zero}
         self.zero: int = zero
         self.one: int = one
 
@@ -170,7 +171,12 @@ class OrthomodularLattice(_LabelIndex):
     def check_conditional_system(self, members: frozenset[int]) -> None:
         """Raise NotAConditionalSystem unless members omits 0 and holds a∨b
         and, for a < b, a⊥∧b = (a∨b⊥)⊥ for all a and b in it; a and b run
-        over members in order, and the join is checked first."""
+        over members in order, and the join is checked first.
+
+        L∖{0} is one set comparison: a join of nonzero elements is nonzero,
+        and a < b gives a⊥∧b ≠ 0 by the orthomodular law."""
+        if members == self._nonzero:
+            return
         if self.zero in members:
             raise NotAConditionalSystem("conditional system contains 0", witness=(self.label(self.zero),))
         ortho = self._ortho
@@ -186,6 +192,32 @@ class OrthomodularLattice(_LabelIndex):
                     continue
                 la, lb = self.label(a), self.label(b)
                 raise NotAConditionalSystem(gap.format(la, lb), witness=(la, lb))
+
+    def system_splits(self, members: frozenset[int]) -> Sequence[tuple[int, int, int]]:
+        """The splits (t, z∧t⊥, z), ends sorted, of the conditional system
+        ``members``, in lexicographic order: t a minimal element of members
+        and t < z ∈ members.  Relative complements make z∧t⊥ a member, so
+        each is an orthogonal pair of members with its join.  For L∖{0} the
+        minimal elements are the atoms and these are ``atom_splits``;
+        otherwise the minimal elements M are found and the splits read from
+        the join table in O(|members|·|M|)."""
+        if members == self._nonzero:
+            return self._splits
+        J, o = self._join, self._ortho
+        M = []  # an antichain that ends as the minimal elements
+        for t in members:
+            row = J[t]
+            if all(row[m] != t for m in M):  # no m ≤ t
+                M = [m for m in M if row[m] != m]  # drop each m ≥ t
+                M.append(t)
+        out = set()
+        for t in M:
+            row = J[t]
+            for z in members:
+                if row[z] == z != t:  # t < z
+                    c = o[J[o[z]][t]]  # z∧t⊥ = (z⊥∨t)⊥
+                    out.add((t, c, z) if t < c else (c, t, z))
+        return sorted(out)
 
 
 # Bound on the element count; the join table takes n² entries.

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
 from .rationals import _fraction, exact_dot, exact_ratios, parse_rational
-from .states import ConditionalState
+from .states import ConditionalState, _entries
 
 # SMap in annotations names smap.SMap, not imported: a command that reads no
 # s-map, such as condexp, does not load the smap module.
@@ -136,7 +136,7 @@ def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
 
 def _expectation(f: ConditionalState, x: Observable, b: int) -> tuple[int, int]:
     """``expectation`` at a condition b, as a reduced ratio ``(n, d)``."""
-    col = [f.table[(e, b)] for e in x.assignment.values()]
+    col = _entries(f, [(e, b) for e in x.assignment.values()])
     dot = exact_dot(x.assignment, col)
     if dot is None:  # raises, naming the first value or entry that is not exact
         exact_ratios([*x.assignment, *col], f"x and f(., {f.lattice.label(b)})")

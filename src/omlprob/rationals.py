@@ -19,10 +19,12 @@ path.  ``parse_rational`` is that gate plus the record rule (an exact
 ``Fraction`` of its ratio), and ``_read_entries`` applies both to a
 validator's entries, reading each once.  Every ``Fraction`` built from a
 reduced ratio comes from ``_fraction``, which sets its two slots and skips
-the gcd ``Fraction.__new__`` would repeat.  A record's entries, ints and
-``Fraction``s, become ratios through ``exact_ratios``, or are summed in
-ratios by ``exact_dot``.  A message shows a value read from a JSON document
-through ``literal``, a number as its decimal rather than a ``Fraction`` repr.
+the gcd ``Fraction.__new__`` would repeat; it is the one function that sets
+them.  A record's entries, ints and ``Fraction``s, become ratios through
+``exact_ratios``, or are summed in ratios by ``exact_dot``, which reads a
+``Fraction``'s ratio from the same two slots and an ``int`` v as (v, 1).
+A message shows a value read from a JSON document through ``literal``, a
+number as its decimal rather than a ``Fraction`` repr.
 """
 
 import re
@@ -99,7 +101,8 @@ def _fraction(n: int, d: int) -> Fraction:
     """The ``Fraction`` n/d of a reduced ratio of exact ints with d > 0, as
     ``_ratio`` returns one: its two slots are set on a bare instance, so the
     gcd ``Fraction.__new__`` would repeat is skipped (0.18 against 0.58 µs
-    on CPython 3.11.7).  No other module names these slots."""
+    on CPython 3.11.7).  No other function sets these slots, and no other
+    module names them."""
     q = object.__new__(Fraction)
     q._numerator = n
     q._denominator = d
@@ -139,15 +142,26 @@ def exact_ratios(values, where: str) -> list[tuple[int, int]]:
 
 def exact_dot(weights, values) -> tuple[int, int] | None:
     """The reduced ``(n, d)`` of Σ wᵢ·vᵢ, or None if a weight or a value is
-    not exactly an int or a Fraction; ``exact_ratios`` then names it.  A
-    term with wᵢ or vᵢ = 0 adds nothing, so its denominators are not
-    multiplied into the running one."""
+    not exactly an int or a Fraction; ``exact_ratios`` then names it.  Each
+    term is read once, a ``Fraction`` from its two slots and an ``int`` v as
+    (v, 1).  A term with wᵢ or vᵢ = 0 adds nothing, so its denominators are
+    not multiplied into the running one."""
     num, den = 0, 1
     for w, v in zip(weights, values):
-        if type(w) not in _EXACT or type(v) not in _EXACT:
+        tw, tv = type(w), type(v)
+        if tw is Fraction:
+            wn, wd = w._numerator, w._denominator
+        elif tw is int:
+            wn, wd = w, 1
+        else:
             return None
-        if w and v:
-            (wn, wd), (vn, vd) = w.as_integer_ratio(), v.as_integer_ratio()
+        if tv is Fraction:
+            vn, vd = v._numerator, v._denominator
+        elif tv is int:
+            vn, vd = v, 1
+        else:
+            return None
+        if wn and vn:
             num, den = num * wd * vd + wn * vn * den, den * wd * vd
     g = gcd(num, den)
     return num // g, den // g

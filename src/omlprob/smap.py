@@ -17,9 +17,9 @@ the ratios; ``conditional_to_smap`` reduces each product f(a, b)·f(b, 1)
 once, builds its entry from that ratio (``rationals._fraction``) and
 scales the same ratios for the kernel; ``smap_to_conditional`` reads its
 s-map once as rows of reduced ratios (``_ratio_rows``, the reader
-``scan_asymmetric_pairs`` shares), scales them once, and after C1–C3 builds
-each f(a, b) from the product p(a, b)·(d/n), n/d = p(b, b), reduced the
-same way.
+``scan_asymmetric_pairs`` shares), scales them once, by columns, to
+P = D·p, and after C1–C3 builds each f(a, b) = P[b][a]/P[b][b] from the
+scaled column the C1–C3 check held, reduced by one gcd.
 ``files.load_smap`` first parses every literal to an integer ratio; ``_smap_of_ratios`` fills in
 the entries s1–s3 force, the one place that rule is stated, then scales and
 checks the ratios, and builds the ``Fraction``s only for a table that
@@ -52,7 +52,7 @@ from .states import (
     ConditionalState,
     State,
     _check_conditional_state,
-    _missing_entry,
+    _entries,
     _scaled,
     validate_state,
 )
@@ -70,6 +70,7 @@ class SMap(namedtuple("SMap", "lattice table")):
     def support(self) -> frozenset[int]:
         """Elements with nonzero diagonal; the conditional-state domain."""
         L = self.lattice
+        _check_total(L, self.table)
         return frozenset(b for b in L.elements if self.table[b][b] != 0)
 
 
@@ -90,8 +91,7 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
             raise _missing(L, *exc.args[0]) from exc
     else:
         read = list(map(_read_entries, table))
-        if len(read) != n or any(len(row) != n for row, _ in read):
-            raise S1Violation("table is not total")
+        _check_total(L, [row for row, _ in read])
     vals, top = _scaled([r for _, ratios in read for r in ratios])
     _check_scaled_smap(L, [vals[i:i + n] for i in range(0, n * n, n)], top)
     return SMap(L, tuple(tuple(row) for row, _ in read))
@@ -204,6 +204,7 @@ def _check_scaled_smap(L: OrthomodularLattice, vals, top) -> None:
 
 def nu_state(p: SMap) -> State:
     """The diagonal state ν(b) = p(b, b)."""
+    _check_total(p.lattice, p.table)
     diag = [p(b, b) for b in p.lattice.elements]
     exact_ratios(diag, "the s-map table")
     return validate_state(p.lattice, diag)
@@ -214,20 +215,26 @@ def _ratio_rows(p: SMap) -> list[list[tuple[int, int]]]:
     per row; a table that is not n×n is refused as ``validate_smap``
     refuses one."""
     t = [exact_ratios(row, "the s-map table") for row in p.table]
-    if len(t) != len(p.lattice) or any(len(row) != len(t) for row in t):
-        raise S1Violation("table is not total")
+    _check_total(p.lattice, t)
     return t
+
+
+def _check_total(L: OrthomodularLattice, rows) -> None:
+    """Refuse a table that is not n×n: ``validate_smap``'s S1 refusal, which
+    the readers of a hand-built ``SMap`` share."""
+    if len(rows) != len(L) or any(len(row) != len(L) for row in rows):
+        raise S1Violation("table is not total")
 
 
 def smap_to_conditional(p: SMap) -> ConditionalState:
     """Condition the s-map on its support: f_p(a, b) = p(a, b) / p(b, b).
 
     p is read once (``_ratio_rows``) and scaled once (``_scaled``), by
-    columns, so section b is column b of P = D·p over P[b][b].  Once C1–C3
-    hold, each f(a, b) is built from the ratio (n_a·d_b, d_a·n_b) of
-    p(a, b) = n_a/d_a over p(b, b) = n_b/d_b, reduced by one gcd, as
-    ``conditional_to_smap`` builds its products; a column with p(b, b) < 0
-    is negated first, so d_a·n_b > 0.
+    columns, so section b is column b of P = D·p over P[b][b]; a column with
+    p(b, b) < 0 is negated first, so P[b][b] > 0.  Once C1–C3 hold, each
+    f(a, b) is built from that column as P[b][a]/P[b][b], reduced by one
+    gcd (``rationals._fraction``), or as 0 or 1; past 2**MAX_SCALE_BITS
+    the column holds p's ``Fraction``s and f(a, b) is their quotient.
     """
     L = p.lattice
     # Column b negated where p(b, b) < 0 (only in a hand-built p): _check_state needs D[b] > 0.
@@ -241,25 +248,29 @@ def smap_to_conditional(p: SMap) -> ConditionalState:
             witness=exc.witness,
         ) from exc
     n = len(L)
-    P, _ = _scaled([r for col in cols for r in col])
+    P, top = _scaled([r for col in cols for r in col])
     R = {b: P[b * n:b * n + n] for b in cs}
     _check_conditional_state(L, cs, R, {b: R[b][b] for b in cs})
-    return ConditionalState(L, cs, {
-        (a, b): ZERO if not x else ONE if x == d else _fraction(x // g, d // g)
-        for b in cs for n_b, d_b in (cols[b][b],)
-        for a, (n_a, d_a) in enumerate(cols[b])
-        for x, d in ((n_a * d_b, d_a * n_b),) for g in (gcd(x, d),)
-    })
+    table = {}
+    for b in cs:
+        col = R[b]
+        d = col[b]
+        for a, x in enumerate(col):
+            if not x:
+                table[a, b] = ZERO
+            elif x == d:
+                table[a, b] = ONE
+            elif top is ONE:  # past 2**MAX_SCALE_BITS: P holds p's Fractions
+                table[a, b] = x / d
+            else:
+                g = gcd(x, d)
+                table[a, b] = _fraction(x // g, d // g)
+    return ConditionalState(L, cs, table)
 
 
 def _section(f: ConditionalState, b: int) -> list:
-    """The entries f(., b) by element; the first one missing from the table
-    is refused as ``validate_conditional_state`` refuses it."""
-    tab = f.table
-    try:
-        return [tab[(a, b)] for a in f.lattice.elements]
-    except KeyError as exc:
-        raise _missing_entry(f.lattice, *exc.args[0]) from None
+    """The entries f(., b) by element (``states._entries``)."""
+    return _entries(f, [(a, b) for a in f.lattice.elements])
 
 
 def conditional_to_smap(f: ConditionalState) -> SMap:
@@ -307,6 +318,7 @@ def _is_product(x, a, b) -> bool:
 
 def is_independent_product(p: SMap, b: int, a: int) -> bool:
     """b is independent of a under p iff p(b, a) = p(a, a)·p(b, b)."""
+    _check_total(p.lattice, p.table)
     return _is_product(*exact_ratios((p(b, a), p(a, a), p(b, b)), "the s-map table"))
 
 

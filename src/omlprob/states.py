@@ -15,7 +15,12 @@ atom split (``L.atom_splits``), m(a) + m(b) = m(a ∨ b) on the scaled
 entries; with m(0) = 0, checked first, that implies it on every orthogonal
 pair (see ``omlprob.lattice``), and ``L.orthogonal_pairs`` are walked only
 after a failure, to name the first failing pair.  C1 of a conditional state
-is that state check, run once per section.
+is that state check, run once per section.  C3 is one list comparison per
+split (t, z∧t⊥, z) of the conditional system cs, t a minimal condition and
+t < z a condition (``L.system_splits``, ``L.atom_splits`` for cs = L∖{0});
+with C1 and C2 that implies C3 on every orthogonal pair of cs (see
+``validate_conditional_state``).  After a split fails, only the pairs of
+cs before it that are no split are walked, to name the first failing pair.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import lcm
 
 from .errors import (
@@ -59,14 +64,12 @@ def _scaled(ratios):
     ``Fraction``s and ``ONE`` instead, so no table makes the scaled entries
     grow without bound.
     """
-    dens = {d for _, d in ratios}
     D = 1
-    for d in dens:
+    for d in {d for _, d in ratios}:
         D = lcm(D, d)
         if D.bit_length() > MAX_SCALE_BITS:
             return [_fraction(n, d) for n, d in ratios], ONE
-    scale = {d: D // d for d in dens}
-    return [n * scale[d] for n, d in ratios], D
+    return [n * (D // d) for n, d in ratios], D
 
 
 class State(namedtuple("State", "lattice values")):
@@ -140,7 +143,10 @@ class ConditionalState(namedtuple("ConditionalState", "lattice conditions table"
                 f"{self.lattice.label(a)} is not a condition",
                 witness=(self.lattice.label(a),),
             )
-        return self.table[(b, a)]
+        try:
+            return self.table[(b, a)]
+        except KeyError:
+            raise _missing_entry(self.lattice, b, a) from None
 
     def state_given(self, a: int) -> State:
         return State(self.lattice, tuple(self(b, a) for b in self.lattice.elements))
@@ -151,16 +157,41 @@ def validate_conditional_state(
 ) -> ConditionalState:
     """Verify C1–C3 exhaustively over the finite lattice and return the state.
 
-    C3 is checked on orthogonal pairs {a₁, a₂} ⊆ cs only, in O(|cs|²·|L|)
-    time; the law for every larger orthogonal family follows.  cs is
-    join-closed (``check_conditional_system``) and C1, C2 hold by then.  Take
-    a family a₁…a_k in cs and let s = a₁∨…∨a_{k−1}; then s ∈ cs and s ⊥ a_k.
-    For i < k, aᵢ ≤ a_k⊥ and f(a_k⊥, a_k) = 1 − f(a_k, a_k) = 0, so
-    f(aᵢ, a_k) = 0.  Pair-C3 at (s, a_k) with b := aᵢ then gives
-    f(aᵢ, ⋁a) = f(s, ⋁a)·f(aᵢ, s), and with any b gives
-    f(b, ⋁a) = f(s, ⋁a)·f(b, s) + f(a_k, ⋁a)·f(b, a_k).  Expanding f(b, s)
-    by the law for the (k−1)-family (induction on k) yields
-    f(b, ⋁a) = Σᵢ f(aᵢ, ⋁a)·f(b, aᵢ).
+    C3 on orthogonal pairs {a₁, a₂} ⊆ cs implies the law for every larger
+    orthogonal family.  cs is join-closed (``check_conditional_system``) and
+    C1, C2 hold by then.  Take a family a₁…a_k in cs and let
+    s = a₁∨…∨a_{k−1}; then s ∈ cs and s ⊥ a_k.  For i < k, aᵢ ≤ a_k⊥ and
+    f(a_k⊥, a_k) = 1 − f(a_k, a_k) = 0, so f(aᵢ, a_k) = 0.  Pair-C3 at
+    (s, a_k) with b := aᵢ then gives f(aᵢ, ⋁a) = f(s, ⋁a)·f(aᵢ, s), and
+    with any b gives f(b, ⋁a) = f(s, ⋁a)·f(b, s) + f(a_k, ⋁a)·f(b, a_k).
+    Expanding f(b, s) by the law for the (k−1)-family (induction on k)
+    yields f(b, ⋁a) = Σᵢ f(aᵢ, ⋁a)·f(b, aᵢ).
+
+    C3 at the splits of cs implies it on every orthogonal pair of cs, so
+    only the splits are checked (``L.system_splits``): the pairs
+    (t, z∧t⊥) with join z, for t in the minimal elements M of cs and
+    t < z ∈ cs.  cs is closed under relative complements, so z∧t⊥ ∈ cs,
+    and it is nonzero by the orthomodular law.  For cs = L∖{0}, M is the
+    atoms and the splits are ``L.atom_splits``.  Two facts are used.  If
+    y ⊥ a ∈ cs, then f(y, a) ≤ f(a⊥, a) = 0.  And if a ⊥ b, the
+    orthomodular law gives (a∨b)∧b⊥ = a.
+    - Chain rule: for y ≤ b ≤ x with b, x ∈ cs, f(y, x) = f(b, x)·f(y, b).
+      By induction on the down-set of x: if x = b, this is C2.  Otherwise
+      x∧b⊥ ∈ cs is nonzero, so some t ∈ M has t ≤ x∧b⊥.  Then t < x and
+      t ⊥ y, so f(y, t) = 0, and the split at x with t gives
+      f(y, x) = f(x∧t⊥, x)·f(y, x∧t⊥), where b ≤ x∧t⊥ < x.  By
+      induction f(y, x∧t⊥) = f(b, x∧t⊥)·f(y, b), and at y = b the same
+      steps give f(b, x) = f(x∧t⊥, x)·f(b, x∧t⊥); the two combine.
+    - Pairs: by induction on the down-set of the join x of a ⊥ b in cs.
+      Pick t ∈ M with t ≤ b.  If t = b, the pair is the split at x with t,
+      as x∧b⊥ = a.  Otherwise b' = b∧t⊥ ∈ cs is nonzero, and t, a and b'
+      are mutually orthogonal with join x; so s = a∨b' = x∧t⊥ ∈ cs, and
+      s < x.  Expand f(c, x) by the split at x with t, then f(c, s) by C3
+      at (a, b') (its join s < x, by induction), and expand f(c, b) by the
+      split at b with t.  The two sides of C3 at (a, b) then match term by
+      term, by the chain rule: f(a, x) = f(s, x)·f(a, s),
+      f(t, x) = f(b, x)·f(t, b), and f(s, x)·f(b', s) = f(b', x) =
+      f(b, x)·f(b', b).
 
     Each entry is looked up and read once (``rationals._read_entries``),
     section by section in the iteration order of cs and by element id within
@@ -181,10 +212,11 @@ def validate_conditional_state(
     the first index where the lists differ is the first failing b, and its
     two sides are the two list entries over D_j·D₁·D₂.  The record is built
     only after the checks pass.
-    Pairs are taken from ``L.orthogonal_pairs`` in its lexicographic order,
-    keeping those with both ends in cs, with b innermost, so the first
-    failure reported is the first one an exhaustive walk over families of
-    increasing size would meet.
+    Only after a split fails are pairs walked: those of
+    ``L.orthogonal_pairs`` before it, in its lexicographic order, with both
+    ends in cs and no split (the splits before it passed), with b
+    innermost.  So the first failure reported is the first one an
+    exhaustive walk over families of increasing size would meet.
     """
     L.check_conditional_system(cs)
     keys, entries, R, D = [], [], {}, {}
@@ -206,6 +238,15 @@ def _missing_entry(L: OrthomodularLattice, b: int, a: int) -> C1Violation:
     return C1Violation(f"table missing f({b}, {a})", witness=(b, a))
 
 
+def _entries(f: ConditionalState, keys) -> list:
+    """The entries of f's table at ``keys``, in order; the first one missing
+    is refused as ``validate_conditional_state`` refuses it."""
+    try:
+        return list(map(f.table.__getitem__, keys))
+    except KeyError as exc:
+        raise _missing_entry(f.lattice, *exc.args[0]) from None
+
+
 def _check_conditional_state(L, cs, R, D) -> None:
     """C1–C3 for the sections f(., a), a in the conditional system cs, given
     as rows R[a] = D[a]·f(., a) with D[a] > 0 (ints, or ``Fraction``s past
@@ -223,21 +264,41 @@ def _check_conditional_state(L, cs, R, D) -> None:
                 f"f({L.label(a)}, {L.label(a)}) = {Fraction(R[a][a], D[a])} ≠ 1",
                 witness=(L.label(a),),
             )
-    for a1, a2, j in L.orthogonal_pairs:
-        if a1 not in cs or a2 not in cs:
-            continue
+    # C3 at the splits implies it on every orthogonal pair of cs (see
+    # validate_conditional_state).
+    splits = L.system_splits(cs)
+    hit = _first_unmixed(splits, R, D)
+    if hit is None:
+        return
+    # Both lists are in lexicographic order, so only the pairs of cs before
+    # the failing split that are no split can fail first.
+    held, first = set(splits), hit[0]
+    earlier = takewhile(lambda p: p != first, L.orthogonal_pairs)
+    others = (p for p in earlier if p not in held and p[0] in cs and p[1] in cs)
+    (a1, a2, j), b, lhs, rhs = _first_unmixed(others, R, D) or hit
+    fam, scale = (L.label(a1), L.label(a2)), D[a1] * D[a2] * D[j]
+    raise C3Violation(
+        f"f({L.label(b)}, {L.label(j)}) = {Fraction(lhs, scale)} but the "
+        f"mixture over {fam} gives {Fraction(rhs, scale)}",
+        witness=(L.label(b), fam),
+    )
+
+
+def _first_unmixed(pairs, R, D):
+    """The first ``((a1, a2, j), b, lhs, rhs)`` where C3 at a pair (a1, a2)
+    with join j fails at b, or None.  Both sides are times D[j]·D[a1]·D[a2]:
+    the list comparison D₁·D₂·R_j = (R_j[a₁]·D₂)·R_{a₁} + (R_j[a₂]·D₁)·R_{a₂},
+    pairs visited in order and b ascending."""
+    for pair in pairs:
+        a1, a2, j = pair
         d1, d2, r = D[a1], D[a2], R[j]
         w1, w2, d12 = r[a1] * d2, r[a2] * d1, d1 * d2
         lhs = [d12 * x for x in r]
         rhs = [w1 * x + w2 * y for x, y in zip(R[a1], R[a2])]
         if lhs != rhs:
             b = next(b for b, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            fam = (L.label(a1), L.label(a2))
-            raise C3Violation(
-                f"f({L.label(b)}, {L.label(j)}) = {Fraction(lhs[b], d12 * D[j])} but the "
-                f"mixture over {fam} gives {Fraction(rhs[b], d12 * D[j])}",
-                witness=(L.label(b), fam),
-            )
+            return pair, b, lhs[b], rhs[b]
+    return None
 
 
 def build_conditional_state(

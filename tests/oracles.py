@@ -1,8 +1,9 @@
 """Exhaustive reference implementations kept as test oracles.
 
-The library checks the mixing law C3 on orthogonal pairs only.  The C3 oracle
-here walks every orthogonal family of the conditional system (2^|cs|
-subsets), so it is only usable on small lattices.
+The library checks the mixing law C3 on the conditional system's splits
+only.  The family oracle here walks every orthogonal family of the
+conditional system (2^|cs| subsets), so it is only usable on small
+lattices; the pair oracle walks every orthogonal pair.
 
 The library checks additivity and s3 on ``L.atom_splits``, the orthogonal
 pairs with an atom at one end and not 0 at the other, and names a failure
@@ -21,9 +22,12 @@ literal indices.  The completion oracle fills them into a mapping
 (a, b) -> entry, one ``setdefault`` at a time.
 
 The library checks C1–C3 on each section scaled by its own common
-denominator, one scalar comparison per orthogonal pair for additivity and
-one list comparison per pair of conditions for C3.  The conditional-state oracle checks them on the ``Fraction``
-entries, section by section and one b at a time.
+denominator, one scalar comparison per atom split for additivity and one
+list comparison per split (t, z∧t⊥, z) of the conditional system for C3,
+t a minimal condition.  The conditional-state oracle checks them on the
+``Fraction`` entries, section by section and one b at a time, with C3 on
+every orthogonal pair of conditions; the split oracle finds the minimal
+conditions by testing every pair of members.
 
 The library names an observable's repeated value from one count of all
 values and walks the orthogonality of its nonzero events only.  The
@@ -271,6 +275,13 @@ def cstate_exhaustive(
                 f"f({L.label(a)}, {L.label(a)}) = {tab[(a, a)]} ≠ 1",
                 witness=(L.label(a),),
             )
+    return c3_pairs_exhaustive(L, cs, tab)
+
+
+def c3_pairs_exhaustive(L: OrthomodularLattice, cs: frozenset[int], tab) -> C3Violation | None:
+    """The first C3 failure over every orthogonal pair of ``cs``, in the
+    order of ``L.orthogonal_pairs`` and b ascending, or None; ``tab`` maps
+    (b, a) to a ``Fraction`` for every a in cs."""
     for a1, a2, top in L.orthogonal_pairs:
         if a1 not in cs or a2 not in cs:
             continue
@@ -285,6 +296,31 @@ def cstate_exhaustive(
                     witness=(L.label(b), fam),
                 )
     return None
+
+
+def system_splits_exhaustive(L: OrthomodularLattice, cs: frozenset[int]) -> list[tuple[int, int, int]]:
+    """The triples (t, z∧t⊥, z), ends sorted, for t minimal in ``cs`` and
+    t < z ∈ cs, sorted: minimality by testing every pair of members."""
+    minimal = [t for t in cs if not any(s != t and L.leq(s, t) for s in cs)]
+    out = set()
+    for t in minimal:
+        for z in cs:
+            if z != t and L.leq(t, z):
+                c = L.meet(z, L.ortho(t))
+                out.add((min(t, c), max(t, c), z))
+    return sorted(out)
+
+
+def conditional_system_closure(L: OrthomodularLattice, elems) -> frozenset[int]:
+    """The least conditional system holding the nonzero ``elems``: closed
+    under joins and under relative complements a⊥∧b of a < b."""
+    cs = set(elems)
+    while True:
+        new = {L.join(a, b) for a in cs for b in cs}
+        new |= {L.meet(L.ortho(a), b) for a in cs for b in cs if a != b and L.leq(a, b)}
+        if new <= cs:
+            return frozenset(cs)
+        cs |= new
 
 
 def partition_failure_exhaustive(

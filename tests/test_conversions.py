@@ -207,6 +207,47 @@ def test_a_missing_entry_is_refused_like_validation(example_f, mo2, entry):
     assert exc.value.witness == want.value.witness == tuple(map(mo2.label, key))
 
 
+def _on_a(L):
+    return q.make_observable(L, [(1, L.id_of("a")), (2, L.id_of("a'"))])
+
+
+# Readers of a hand-built record, each given (p, f, L): p is an s-map
+# without its last row, f a conditional state without f(a, 1).
+RECORD_READERS = {
+    "nu_state": lambda p, f, L: q.nu_state(p),
+    "SMap.support": lambda p, f, L: p.support,
+    "is_independent_product": lambda p, f, L: q.is_independent_product(p, L.one, L.id_of("a")),
+    "expectation": lambda p, f, L: q.expectation(f, _on_a(L), L.one),
+    "is_independent": lambda p, f, L: q.is_independent(f, L.id_of("a"), L.id_of("b"), L.one),
+    "ConditionalState.state_given": lambda p, f, L: f.state_given(L.one),
+    "conditional_expectation": lambda p, f, L: q.conditional_expectation(
+        f, _on_a(L), L.boolean_subalgebra(L.id_of("b"))),
+}
+
+
+@pytest.mark.parametrize("reader", RECORD_READERS)
+def test_a_record_that_is_not_total_is_refused_by_every_reader(example_f, example_smap, mo2, reader):
+    """An s-map reader refuses a table without its last row with the S1
+    failure ``validate_smap`` gives the same rows; a conditional-state
+    reader refuses a table without f(a, 1) with the C1 failure
+    ``validate_conditional_state`` gives it."""
+    rows = [list(r) for r in example_smap.table[:-1]]
+    table = dict(example_f.table)
+    del table[(mo2.id_of("a"), mo2.one)]
+    with pytest.raises(S1Violation) as s1:
+        q.validate_smap(mo2, rows)
+    with pytest.raises(C1Violation) as c1:
+        q.validate_conditional_state(mo2, example_f.conditions, table)
+    p = SMap(mo2, tuple(map(tuple, rows)))
+    f = ConditionalState(mo2, example_f.conditions, table)
+    with pytest.raises((S1Violation, C1Violation)) as exc:
+        RECORD_READERS[reader](p, f, mo2)
+    want = s1.value if reader in ("nu_state", "SMap.support", "is_independent_product") else c1.value
+    assert type(exc.value) is type(want)
+    assert str(exc.value) == str(want)
+    assert exc.value.witness == want.witness
+
+
 @pytest.mark.parametrize("kind, n", [("mo", 3), ("boolean", 3)])
 def test_smap_to_conditional_reads_each_row_once_and_scales_once(monkeypatch, kind, n):
     """p's table is read row by row through ``exact_ratios``, each row once,

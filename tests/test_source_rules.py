@@ -37,9 +37,9 @@ def test_as_integer_ratio_only_in_rationals():
 
 
 def test_fraction_slots_only_in_rationals():
-    """Only rationals._fraction sets a ``Fraction``'s slots, so no other
-    module names them; a Python whose ``Fraction`` changes its slots fails
-    the tests of ``_fraction``, not a hidden caller."""
+    """Only the rationals module names a ``Fraction``'s slots: ``_fraction``
+    sets them and ``exact_dot`` reads them.  A Python whose ``Fraction``
+    changes its slots fails the tests of those two, not a hidden caller."""
     found = [
         f"{path.name}:{lineno}"
         for path in MODULES
