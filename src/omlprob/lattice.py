@@ -123,7 +123,11 @@ class OrthomodularLattice(_LabelIndex):
         return self._splits
 
     def label(self, a: int) -> str:
-        return self.labels[a]
+        """The label of element id ``a``; an id outside ``range(len(self))``,
+        a negative one included, raises LatticeInputError."""
+        if 0 <= a < len(self.labels):
+            return self.labels[a]
+        raise LatticeInputError(f"{literal(a)} is not an element id")
 
     def leq(self, a: int, b: int) -> bool:
         return self._join[a][b] == b
@@ -169,9 +173,11 @@ class OrthomodularLattice(_LabelIndex):
         )
 
     def check_conditional_system(self, members: frozenset[int]) -> None:
-        """Raise NotAConditionalSystem unless members omits 0 and holds a∨b
-        and, for a < b, a⊥∧b = (a∨b⊥)⊥ for all a and b in it; a and b run
-        over members in order, and the join is checked first.
+        """Raise NotAConditionalSystem unless members omit 0, are elements
+        and hold a∨b and, for a < b, a⊥∧b = (a∨b⊥)⊥ for all a and b in
+        them; a and b run over members in order, and the join is checked
+        first.  A member that is no element id is named, through
+        ``literal``, before any join is looked up.
 
         L∖{0} is one set comparison: a join of nonzero elements is nonzero,
         and a < b gives a⊥∧b ≠ 0 by the orthomodular law."""
@@ -179,6 +185,9 @@ class OrthomodularLattice(_LabelIndex):
             return
         if self.zero in members:
             raise NotAConditionalSystem("conditional system contains 0", witness=(self.label(self.zero),))
+        for a in members:
+            if a not in self._nonzero:
+                raise NotAConditionalSystem(f"{literal(a)} is not an element", witness=(literal(a),))
         ortho = self._ortho
         for a in members:
             row = self._join[a]

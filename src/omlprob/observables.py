@@ -18,14 +18,13 @@ from itertools import combinations, chain
 
 from .errors import (
     AtomOutsideCS,
-    ConditionOutsideCS,
     DuplicateValue,
     NoSolution,
     NotAPartition,
 )
 from .lattice import BooleanSubalgebra, OrthomodularLattice
 from .rationals import _fraction, exact_dot, exact_ratios, parse_rational
-from .states import ConditionalState, _entries
+from .states import ConditionalState, _entries, _outside_cs
 
 # SMap in annotations names smap.SMap, not imported: a command that reads no
 # s-map, such as condexp, does not load the smap module.
@@ -127,10 +126,7 @@ def distribution_function(
 def expectation(f: ConditionalState, x: Observable, b: int) -> Fraction:
     """Σ_i r_i · f(x(r_i), b): expectation of x under the section f(., b)."""
     if b not in f.conditions:
-        raise ConditionOutsideCS(
-            f"{f.lattice.label(b)} is not a condition",
-            witness=(f.lattice.label(b),),
-        )
+        raise _outside_cs(f.lattice, b)
     return _fraction(*_expectation(f, x, b))
 
 

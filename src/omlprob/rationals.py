@@ -17,12 +17,19 @@ a side before it scans a string's size; any other string takes the full
 path.  ``parse_rational`` is that gate plus the record rule (an exact
 ``Fraction`` is kept as the caller's object, anything else becomes the
 ``Fraction`` of its ratio), and ``_read_entries`` applies both to a
-validator's entries, reading each once.  Every ``Fraction`` built from a
-reduced ratio comes from ``_fraction``, which sets its two slots and skips
-the gcd ``Fraction.__new__`` would repeat; it is the one function that sets
-them.  A record's entries, ints and ``Fraction``s, become ratios through
-``exact_ratios``, or are summed in ratios by ``exact_dot``, which reads a
-``Fraction``'s ratio from the same two slots and an ``int`` v as (v, 1).
+validator's entries, reading each once.  A list or tuple whose entries are
+all exactly ``Fraction``s is read in one pass, from their two slots, with
+one ``min``/``max`` for the bound; anything else (an entry of another type
+or a ``Fraction`` subclass, a part past the bound, an iterator) is walked
+entry by entry through ``_ratio``, so the first bad entry is the one named.
+``_read_keyed`` looks a mapping's entries up in one pass and, if one is
+missing, hands the lookups to the walk lazily.  Every ``Fraction`` built
+from a reduced ratio comes from ``_fraction``, which sets its two slots and
+skips the gcd ``Fraction.__new__`` would repeat; it is the one function
+that sets them.  A record's entries, ints and ``Fraction``s, become ratios
+through ``exact_ratios``, or are summed in ratios by ``exact_dot``, which
+reads a ``Fraction``'s ratio from the same two slots, as ``_read_entries``
+does, and an ``int`` v as (v, 1).
 A message shows a value read from a JSON document through ``literal``, a
 number as its decimal rather than a ``Fraction`` repr.
 """
@@ -41,6 +48,8 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 _INT_BOUND = 10**MAX_DIGITS
 _TOO_LONG = f"numeric literal has more than {MAX_DIGITS} digits"
 _EXACT = frozenset((int, Fraction))
+_SEQUENCES = frozenset((list, tuple))
+_ALL_FRACTIONS = frozenset((Fraction,))
 
 
 def _check_literal_size(text: str) -> None:
@@ -118,16 +127,40 @@ def parse_rational(value) -> Fraction:
 
 
 def _read_entries(values) -> tuple[list[Fraction], list[tuple[int, int]]]:
-    """``values``, iterated once, each entry read once through ``_ratio``:
-    the entries ``parse_rational`` would return, and their reduced ratios.
-    An entry is taken from the iterator only after the one before it is
-    read, so a lookup behind the iterator fails after that read."""
+    """``values``, each entry read once: the entries ``parse_rational``
+    would return, and their reduced ratios.
+
+    A list or tuple whose entries are all exactly ``Fraction``s is read in
+    one pass: the ratios from the two slots, one ``min``/``max`` for the
+    bound, and the entries are ``values`` itself, the caller's objects.
+    Anything else, a list with a part past the bound included, is walked
+    entry by entry through ``_ratio``, so the first bad entry is the one
+    named.  The walk takes an entry from an iterator only after the one
+    before it is read, so a lookup behind the iterator fails after that
+    read."""
+    if type(values) in _SEQUENCES and set(map(type, values)) == _ALL_FRACTIONS:
+        ns = [x._numerator for x in values]
+        ds = [x._denominator for x in values]
+        if -_INT_BOUND < min(ns) and max(ns) < _INT_BOUND and max(ds) < _INT_BOUND:
+            return values, list(zip(ns, ds))
     entries, ratios = [], []
     for x in values:
         r = _ratio(x)
         ratios.append(r)
         entries.append(x if type(x) is Fraction else _fraction(*r))
     return entries, ratios
+
+
+def _read_keyed(table, keys) -> tuple[list[Fraction], list[tuple[int, int]]]:
+    """``_read_entries`` of the entries of the mapping ``table`` at ``keys``,
+    all looked up in one pass.  If one is missing, the walk looks them up
+    again lazily, so of a missing entry (a ``KeyError`` of its key) and a
+    malformed one, the first in the order of ``keys`` is raised."""
+    try:
+        values = list(map(table.__getitem__, keys))
+    except KeyError:
+        values = map(table.__getitem__, keys)
+    return _read_entries(values)
 
 
 def exact_ratios(values, where: str) -> list[tuple[int, int]]:

@@ -11,9 +11,13 @@ per atom split over the rows, then over the columns
 (``_first_nonadditive``).  s2 has shown p(0, c) = p(c, 0) = 0 by then, so
 that implies s3 on every orthogonal pair (see ``omlprob.lattice``);
 ``L.orthogonal_pairs`` are walked only after a failure, to name the first
-failing pair.  ``validate_smap`` reads
-each of the caller's entries once (``rationals._read_entries``) and scales
-the ratios; ``conditional_to_smap`` reduces each product f(a, b)·f(b, 1)
+failing pair.  ``validate_smap`` reads each of the caller's entries once
+(``rationals._read_entries``) and scales the ratios: a mapping's n² entries
+are looked up in one pass, in row-major order, and a dense table is taken
+row by row; each such list is read from the slots in one pass if its
+entries are all exact ``Fraction``s, and walked entry by entry otherwise,
+to the first bad or missing entry;
+``conditional_to_smap`` reduces each product f(a, b)·f(b, 1)
 once, builds its entry from that ratio (``rationals._fraction``) and
 scales the same ratios for the kernel; ``smap_to_conditional`` reads its
 s-map once as rows of reduced ratios (``_ratio_rows``, the reader
@@ -45,7 +49,7 @@ from .errors import (
     NotAConditionalSystem,
 )
 from .lattice import OrthomodularLattice
-from .rationals import _fraction, _read_entries, exact_ratios
+from .rationals import _fraction, _read_entries, _read_keyed, exact_ratios
 from .states import (
     ONE,
     ZERO,
@@ -85,16 +89,18 @@ def validate_smap(L: OrthomodularLattice, table) -> SMap:
     if isinstance(table, Mapping):
         # Row-major, so the first missing entry in that order is the one named.
         try:
-            keyed = (map(table.__getitem__, [(a, b) for b in L.elements]) for a in L.elements)
-            read = list(map(_read_entries, keyed))
+            entries, ratios = _read_keyed(table, [(a, b) for a in L.elements for b in L.elements])
         except KeyError as exc:
             raise _missing(L, *exc.args[0]) from exc
+        rows = [entries[i:i + n] for i in range(0, n * n, n)]
     else:
         read = list(map(_read_entries, table))
-        _check_total(L, [row for row, _ in read])
-    vals, top = _scaled([r for _, ratios in read for r in ratios])
+        rows = [row for row, _ in read]
+        _check_total(L, rows)
+        ratios = [r for _, rs in read for r in rs]
+    vals, top = _scaled(ratios)
     _check_scaled_smap(L, [vals[i:i + n] for i in range(0, n * n, n)], top)
-    return SMap(L, tuple(tuple(row) for row, _ in read))
+    return SMap(L, tuple(map(tuple, rows)))
 
 
 def _missing(L: OrthomodularLattice, a: int, b: int) -> S1Violation:

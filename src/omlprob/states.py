@@ -8,8 +8,12 @@ that take only the table scaled to integers by the lcm of its denominators
 ``smap`` conversions share) and raise or return None; each entry point then
 builds its record of ``Fraction`` values.  A validator reads each of a
 caller's entries once, through ``rationals._read_entries``: the size bound
-of ``parse_rational`` and the reduced ratio in one call, and the record
-keeps an exact ``Fraction`` as the caller's object.  Tables the package builds itself are read through
+of ``parse_rational`` and the reduced ratio, and the record keeps an exact
+``Fraction`` as the caller's object.  A mapping's entries are all looked up
+in one pass (``rationals._read_keyed``); a table of exact ``Fraction``s is
+then read from their slots in one pass, and any other table, or one with a
+missing key, is walked entry by entry, so the first bad entry in reading
+order is the one named.  Tables the package builds itself are read through
 ``rationals.exact_ratios``.  State additivity is one scalar comparison per
 atom split (``L.atom_splits``), m(a) + m(b) = m(a ∨ b) on the scaled
 entries; with m(0) = 0, checked first, that implies it on every orthogonal
@@ -45,7 +49,7 @@ from .errors import (
     ZeroMassCondition,
 )
 from .lattice import OrthomodularLattice
-from .rationals import _fraction, _read_entries, exact_ratios, parse_rational
+from .rationals import _fraction, _read_entries, _read_keyed, exact_ratios, literal, parse_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -89,7 +93,7 @@ def validate_state(L: OrthomodularLattice, values) -> State:
     """
     if isinstance(values, Mapping):
         try:
-            vals, ratios = _read_entries(map(values.__getitem__, L.elements))
+            vals, ratios = _read_keyed(values, L.elements)
         except KeyError as exc:
             a = L.label(exc.args[0])
             raise NotNormalized(f"state table missing m({a})", witness=(a,)) from None
@@ -139,10 +143,7 @@ class ConditionalState(namedtuple("ConditionalState", "lattice conditions table"
 
     def __call__(self, b: int, a: int) -> Fraction:
         if a not in self.conditions:
-            raise ConditionOutsideCS(
-                f"{self.lattice.label(a)} is not a condition",
-                witness=(self.lattice.label(a),),
-            )
+            raise _outside_cs(self.lattice, a)
         try:
             return self.table[(b, a)]
         except KeyError:
@@ -193,10 +194,13 @@ def validate_conditional_state(
       f(t, x) = f(b, x)·f(t, b), and f(s, x)·f(b', s) = f(b', x) =
       f(b, x)·f(b', b).
 
-    Each entry is looked up and read once (``rationals._read_entries``),
-    section by section in the iteration order of cs and by element id within
-    one, an entry's read before the next entry's lookup; of a malformed
-    entry and a missing one, the first met in that order is raised.
+    Each entry is looked up and read once, section by section in the
+    iteration order of cs and by element id within one.  All entries are
+    looked up in one pass and, if all are exact ``Fraction``s, read from
+    their slots in one pass (``rationals._read_keyed``); otherwise, or if a
+    key is missing, they are walked in that order, an entry's read before
+    the next entry's lookup, so of a malformed entry and a missing one the
+    first met is raised.  Each section is then scaled on its own.
 
     The axioms are checked on integers: each section f(., a) is scaled by the
     lcm D_a of its own denominators to a row R_a (past 2**MAX_SCALE_BITS the
@@ -219,18 +223,24 @@ def validate_conditional_state(
     exhaustive walk over families of increasing size would meet.
     """
     L.check_conditional_system(cs)
-    keys, entries, R, D = [], [], {}, {}
-    for a in cs:
-        section = [(b, a) for b in L.elements]
-        try:
-            read, ratios = _read_entries(map(table.__getitem__, section))
-        except KeyError as exc:
-            raise _missing_entry(L, *exc.args[0]) from None
-        keys += section
-        entries += read
-        R[a], D[a] = _scaled(ratios)
+    n = len(L)
+    keys = [(b, a) for a in cs for b in L.elements]
+    try:
+        entries, ratios = _read_keyed(table, keys)
+    except KeyError as exc:
+        raise _missing_entry(L, *exc.args[0]) from None
+    R, D = {}, {}
+    for i, a in zip(range(0, len(keys), n), cs):
+        R[a], D[a] = _scaled(ratios[i:i + n])
     _check_conditional_state(L, cs, R, D)
     return ConditionalState(L, cs, dict(zip(keys, entries)))
+
+
+def _outside_cs(L: OrthomodularLattice, a) -> ConditionOutsideCS:
+    """The refusal of a condition ``a`` outside a conditional state's
+    conditions, naming an id that is no element through ``literal``."""
+    name = L.label(a) if a in L.elements else literal(a)
+    return ConditionOutsideCS(f"{name} is not a condition", witness=(name,))
 
 
 def _missing_entry(L: OrthomodularLattice, b: int, a: int) -> C1Violation:
@@ -370,9 +380,7 @@ def is_independent(f: ConditionalState, b: int, a: int, c: int) -> bool:
     L = f.lattice
     for x in (a, c):
         if x not in f.conditions:
-            raise ConditionOutsideCS(
-                f"{L.label(x)} is not a condition", witness=(L.label(x),)
-            )
+            raise _outside_cs(L, x)
     ca, bc, ba = exact_ratios((f(c, a), f(b, c), f(b, a)), "the conditional-state table")
     if ca != (1, 1):
         raise PreconditionFCA(

@@ -58,6 +58,11 @@ algorithm over every intermediate element, walks every pair of the closure
 for antisymmetry and order reversal, and finds each meet and join as the
 bound that lies above (below) every other common bound; the failure oracle
 checks each axiom group on that closure in the library's stage order.
+
+The library reads a list of exact ``Fraction``s from their slots in one
+pass and walks any other table entry by entry.  The reader oracle sends
+every entry through ``parse_rational``, one at a time, and takes each ratio
+from the entry it returns.
 """
 
 from __future__ import annotations
@@ -380,6 +385,13 @@ def conditional_of_smap(p) -> dict[tuple[int, int], Fraction]:
 def expectation_sum(f, x, b) -> Fraction:
     """Σ r·f(x(r), b) over the sorted spectrum of x."""
     return sum((r * f.table[(x.assignment[r], b)] for r in x.spectrum), Fraction(0))
+
+
+def read_entries_walk(values) -> tuple[list[Fraction], list[tuple[int, int]]]:
+    """The entries ``parse_rational`` returns for ``values``, one at a time,
+    and the reduced ratio of each; the first bad entry raises."""
+    entries = [parse_rational(x) for x in values]
+    return entries, [e.as_integer_ratio() for e in entries]
 
 
 def assert_same_failure(got, want) -> None:

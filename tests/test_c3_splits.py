@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import omlprob as q
-from omlprob.errors import C1Violation, C2Violation, C3Violation
+from omlprob.errors import C1Violation, C2Violation, C3Violation, NotAConditionalSystem
 
 from conftest import pasting_raw, product_raw
 from oracles import (
@@ -173,10 +173,11 @@ class _NoJoins:
 @pytest.mark.parametrize("name", ["boolean3", "mo3", "pasting"])
 def test_full_system_reads_no_join(name):
     """``check_conditional_system(L∖{0})`` is one set comparison; a member
-    set of the same size with an id that is no element takes the full check."""
+    set of the same size with an id that is no element is not taken for it,
+    and is refused, by that id, before any join is read."""
     L = copy.copy(_lattice(name))
     L._join = _NoJoins()
     L.check_conditional_system(_nonzero(L))
     bogus = _nonzero(L) - {L.one} | {len(L)}
-    with pytest.raises(JoinRead):
+    with pytest.raises(NotAConditionalSystem, match=rf"^{len(L)} is not an element$"):
         L.check_conditional_system(bogus)

@@ -38,8 +38,9 @@ def test_as_integer_ratio_only_in_rationals():
 
 def test_fraction_slots_only_in_rationals():
     """Only the rationals module names a ``Fraction``'s slots: ``_fraction``
-    sets them and ``exact_dot`` reads them.  A Python whose ``Fraction``
-    changes its slots fails the tests of those two, not a hidden caller."""
+    sets them, and the two slot readers, ``_read_entries`` and ``exact_dot``,
+    read them.  A Python whose ``Fraction`` changes its slots fails the
+    tests of those three, not a hidden caller."""
     found = [
         f"{path.name}:{lineno}"
         for path in MODULES

@@ -10,6 +10,8 @@ from omlprob.errors import (
     C2Violation,
     C3Violation,
     ConditionOutsideCS,
+    LatticeInputError,
+    NotAConditionalSystem,
     NotAdditive,
     NotNormalized,
     NotOrthogonalFamily,
@@ -305,6 +307,33 @@ class TestIndependence:
         )
         with pytest.raises(ConditionOutsideCS):
             q.is_independent(f, a, mo2.id_of("b"), mo2.one)
+
+
+class TestIdsThatAreNotElements:
+    """An id outside ``range(len(L))`` is refused by name, never wrapped
+    around as a negative index nor let out as an IndexError."""
+
+    @pytest.mark.parametrize("a", [-1, len(q.build_catalog("mo", 2)), 99])
+    def test_label(self, mo2, a):
+        with pytest.raises(LatticeInputError, match=rf"^{a} is not an element id$"):
+            mo2.label(a)
+
+    @pytest.mark.parametrize("a", [-1, 99])
+    def test_condition_that_is_no_element(self, mo2, a):
+        f = q.random_conditional_state(mo2, 0)
+        with pytest.raises(NotAConditionalSystem, match=rf"^{a} is not an element$") as exc:
+            q.validate_conditional_state(mo2, f.conditions | {a}, f.table)
+        assert exc.value.witness == (str(a),)
+
+    def test_zero_is_named_before_an_id_that_is_no_element(self, mo2):
+        with pytest.raises(NotAConditionalSystem, match="^conditional system contains 0$"):
+            mo2.check_conditional_system(frozenset({mo2.zero, 99}))
+
+    def test_independence_given_no_element(self, mo2):
+        f = q.random_conditional_state(mo2, 0)
+        with pytest.raises(ConditionOutsideCS, match="^99 is not a condition$") as exc:
+            q.is_independent(f, 1, 2, 99)
+        assert exc.value.witness == ("99",)
 
 
 class TestIndependenceProperties:
